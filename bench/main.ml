@@ -384,34 +384,30 @@ let ablation_formula =
   let f = Compile.vertex_formula ~rel:"P" v1 v2 in
   Eval.reduce_linear pentagon_db Var.Map.empty f
 
-let with_knobs ~tightening ~elim_pruning ~absorption ~simplex_redundancy f =
+let with_knobs ~tightening ~elim_pruning ~absorption f =
   let o = Fourier_motzkin.optimizations in
   let saved =
     ( o.Fourier_motzkin.tightening,
       o.Fourier_motzkin.elim_pruning,
-      o.Fourier_motzkin.absorption,
-      o.Fourier_motzkin.simplex_redundancy )
+      o.Fourier_motzkin.absorption )
   in
   o.Fourier_motzkin.tightening <- tightening;
   o.Fourier_motzkin.elim_pruning <- elim_pruning;
   o.Fourier_motzkin.absorption <- absorption;
-  o.Fourier_motzkin.simplex_redundancy <- simplex_redundancy;
   Fun.protect
     ~finally:(fun () ->
-      let t, p, a, r = saved in
+      let t, p, a = saved in
       o.Fourier_motzkin.tightening <- t;
       o.Fourier_motzkin.elim_pruning <- p;
-      o.Fourier_motzkin.absorption <- a;
-      o.Fourier_motzkin.simplex_redundancy <- r)
+      o.Fourier_motzkin.absorption <- a)
     f
 
 let ablation_tests =
-  let run ~simplex_redundancy ~tightening ~elim_pruning ~absorption () =
-    with_knobs ~tightening ~elim_pruning ~absorption ~simplex_redundancy (fun () ->
+  let std ~tightening ~elim_pruning ~absorption () =
+    with_knobs ~tightening ~elim_pruning ~absorption (fun () ->
         Fourier_motzkin.clear_qe_cache ();
         Fourier_motzkin.qe ablation_formula)
   in
-  let std = run ~simplex_redundancy:false in
   [ Test.make ~name:"qe_vertex_all_optimizations"
       (stage (std ~tightening:true ~elim_pruning:true ~absorption:true));
     Test.make ~name:"qe_vertex_no_tightening"
@@ -419,11 +415,7 @@ let ablation_tests =
     Test.make ~name:"qe_vertex_no_elim_pruning"
       (stage (std ~tightening:true ~elim_pruning:false ~absorption:true));
     Test.make ~name:"qe_vertex_no_absorption"
-      (stage (std ~tightening:true ~elim_pruning:true ~absorption:false));
-    Test.make ~name:"qe_vertex_simplex_redundancy"
-      (stage
-         (run ~simplex_redundancy:true ~tightening:true ~elim_pruning:true
-            ~absorption:true)) ]
+      (stage (std ~tightening:true ~elim_pruning:true ~absorption:false)) ]
 
 (* Theorem 3 exact-volume engine: the domain-scaling curve of the sweep, the
    incremental vertex enumeration, and the cold-cache end-to-end pipeline
@@ -454,8 +446,8 @@ let exact_volume_tests =
    outside the timed region, so iterations measure reuse, not spawning —
    pool.domains.spawned stays constant across them. *)
 let with_pool_always f =
-  Pool.set_mode Pool.Always;
-  Fun.protect ~finally:(fun () -> Pool.set_mode Pool.Auto) f
+  Cqa_conc.Pool.set_mode Cqa_conc.Pool.Always;
+  Fun.protect ~finally:(fun () -> Cqa_conc.Pool.set_mode Cqa_conc.Pool.Auto) f
 
 let pool_tests =
   [ Test.make ~name:"pool_sweep_3d_dom4"
@@ -494,8 +486,7 @@ let cold_caches () =
   Flatrow.clear_cache ();
   Semilinear.clear_bbox_cache ();
   Simplex.clear_basis_cache ();
-  Plan.clear_cache ();
-  Cqa_analysis.Rewrite.clear_memo ()
+  Plan.clear_cache ()
 
 (* ------------------------------------------------------------------ *)
 (* Numeric kernel ablation: float filter on vs off                     *)
@@ -577,7 +568,6 @@ let plan_tests =
   [ Test.make ~name:"plan_compile_sweep_cold"
       (stage (fun () ->
            Plan.clear_cache ();
-           Cqa_analysis.Rewrite.clear_memo ();
            plan_compile ()));
     Test.make ~name:"plan_compile_sweep_hit"
       (stage (fun () -> plan_compile ()));
@@ -710,8 +700,7 @@ let rewrite_tests () =
   (let r = Rw.rewrite padded_formula in
    if r.Rw.atoms_after >= r.Rw.atoms_before then
      failwith "rewrite bench fixture: padded query did not shrink");
-  ignore (Rw.formula plan_formula);
-  [ (* the full rule fixpoint, no memo: the price of one cache-miss
+  [ (* the full rule fixpoint: the price of one cache-miss
        normalization *)
     Test.make ~name:"rewrite_fixpoint_sweep"
       (stage (fun () -> Rw.rewrite plan_formula));
@@ -722,9 +711,6 @@ let rewrite_tests () =
       (stage (fun () ->
            Fourier_motzkin.clear_qe_cache ();
            Rw.rewrite ~verify:true plan_formula));
-    (* the per-lookup price a warm plan-cache hit actually pays *)
-    Test.make ~name:"rewrite_memo_hit"
-      (stage (fun () -> Rw.formula plan_formula));
     (* equivalence decision, cold QE cache each round *)
     Test.make ~name:"equiv_spellings_equal"
       (stage (fun () ->
@@ -924,10 +910,12 @@ let counter_workloads =
     ("guarded_fallback",
      fun () ->
        cold_caches ();
-       let f = Parser.formula_of_string blowup_src in
-       let coords = Array.of_list (Var.Set.elements (Ast.free_vars f)) in
        let db = Db.empty Schema.empty in
-       ignore (Volume_exact.volume_guarded ~budget:1e6 db coords f));
+       let p =
+         Cqa_analysis.Planner.compile ~db ~budget:1e6
+           (Parser.formula_of_string blowup_src)
+       in
+       ignore (Exec.volume_guarded p db));
     ("serve",
      fun () ->
        (* one deterministic single-client session against a fresh server:
@@ -1033,7 +1021,7 @@ let () =
   run_group "experiments (one per table/figure)" experiment_tests;
   run_group "substrates" substrate_tests;
   run_group "exact volume engine (Theorem 3)" exact_volume_tests;
-  Pool.ensure_workers 3;
+  Cqa_conc.Pool.ensure_workers 3;
   run_group "persistent pool (cutoff bypassed)" pool_tests;
   run_group "ablations (QE design choices, cold cache)" ablation_tests;
   run_group "numeric kernel (float filter on/off, cold cache)" kernel_tests;

@@ -973,9 +973,12 @@ let update_cmd =
                  let l = String.trim l in
                  l <> "" && l.[0] <> '#')
     in
-    let plan = Cqa_analysis.Planner.compile ~db ~budget:infinity ~coords f in
     let failed = ref false in
     let report label =
+      (* compiled per report: the rewriter reads the relations' current
+         bounding boxes, and the planner's version-keyed memo hands back
+         the plan whose execution state the updates maintain *)
+      let plan = Cqa_analysis.Planner.compile ~db ~budget:infinity ~coords f in
       match Exec.volume_clamped ~domains plan db with
       | exception Volume_exact.Not_semilinear msg ->
           Format.eprintf "not evaluable exactly: %s@." msg;

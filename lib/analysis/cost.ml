@@ -15,7 +15,7 @@ type estimate = {
 }
 
 (* The syntactic walk and the worst-case projections are shared with the
-   runtime guard (Volume_exact.volume_guarded) through Dispatch, so the
+   runtime guard (Exec.volume_guarded) through Dispatch, so the
    static diagnostics and the budget-guarded dispatch can never disagree on
    a query's projected cost. *)
 let build ~endpoints ~free_var_count (p : Dispatch.cost_profile) =

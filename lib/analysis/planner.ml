@@ -16,19 +16,24 @@ let hint_of ?db ?options () f =
 (* [Plan.cached ~normalize] must rewrite and alpha-hash on every lookup —
    the cache is keyed on the rewritten normal form.  That is the right
    authority on a miss, but a warm server replays the *same spelling*
-   thousands of times, and paying rewrite-memo + alpha + shape-hash per
-   replay roughly doubles the PR 7 warm-hit cost.  So the planner keeps a
+   thousands of times, and paying the rule fixpoint + alpha + shape hash
+   per replay would dominate the warm-hit cost.  So the planner keeps a
    bounded first-line memo from the raw question — (formula, database
-   identity, params, coords, budget) — straight to the compiled plan.
-   Entries are stamped with {!Plan.cache_generation} and die wholesale on
-   {!Plan.clear_cache}, so reset semantics (tests, benches, the server's
-   [reset] op) see one coherent cache.  [options] is deliberately not in
-   the key: like the plan cache itself, a hit returns the earlier plan
-   with the earlier hint. *)
+   identity and version, params, coords, budget) — straight to the
+   compiled plan.  The version is part of the key because the rewriter
+   reads the database's bounding boxes: after [Db.apply_update] the same
+   question must be rewritten again, or a conjunct the old boxes proved
+   unsatisfiable would still compile to [false].  Entries are stamped
+   with {!Plan.cache_generation} and die wholesale on {!Plan.clear_cache},
+   so reset semantics (tests, benches, the server's [reset] op) see one
+   coherent cache.  [options] is deliberately not in the key: like the
+   plan cache itself, a hit returns the earlier plan with the earlier
+   hint. *)
 
 type entry = {
   gen : int;
-  db : Db.t option;  (* physical identity — databases are immutable *)
+  db : Db.t option;  (* physical identity, paired with [version] *)
+  version : int;  (* [Db.version db] when the plan was compiled; 0 without a db *)
   f : Ast.formula;
   params : Cqa_logic.Var.t array;
   coords : Cqa_logic.Var.t array option;
@@ -65,6 +70,9 @@ let compile ?db ?options ?budget ?params ?coords f =
   let budget' = Option.value budget ~default:Dispatch.default_budget in
   let params' = Option.value params ~default:[||] in
   let gen = Plan.cache_generation () in
+  (* read before compiling: an update racing the compile then leaves an
+     entry stamped with the older version, which the next lookup misses *)
+  let version = match db with Some d -> Db.version d | None -> 0 in
   let h = Plan.hash_formula f in
   let hit =
     Mutex.protect memo_lock (fun () ->
@@ -74,7 +82,8 @@ let compile ?db ?options ?budget ?params ?coords f =
             List.find_map
               (fun e ->
                 if
-                  e.gen = gen && same_db e.db db && e.budget = budget'
+                  e.gen = gen && same_db e.db db && e.version = version
+                  && e.budget = budget'
                   && vars_eq e.params params' && coords_eq e.coords coords
                   && Plan.equal_formula e.f f
                 then Some e.plan
@@ -102,6 +111,7 @@ let compile ?db ?options ?budget ?params ?coords f =
             ({
                gen;
                db;
+               version;
                f;
                params = params';
                coords;

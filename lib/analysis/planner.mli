@@ -28,11 +28,15 @@ val compile :
     {!Cqa_core.Plan.cached}'s.
 
     A bounded front-line memo maps the raw question — (formula, database
-    identity, params, coords, budget) — straight to the compiled plan, so
-    replaying one spelling costs a hash and a structural compare instead
-    of rewrite + alpha + shape hash.  Entries are stamped with
-    {!Cqa_core.Plan.cache_generation} and invalidated wholesale by
-    {!Cqa_core.Plan.clear_cache}; a memo hit ticks [plan.cache.hit]. *)
+    identity and {!Cqa_core.Db.version}, params, coords, budget) —
+    straight to the compiled plan, so replaying one spelling costs a hash
+    and a structural compare instead of rewrite + alpha + shape hash.  The
+    rewriter reads the database's bounding boxes, so an update makes the
+    next compile of the same question miss and rewrite afresh.  Entries
+    are stamped with {!Cqa_core.Plan.cache_generation} and invalidated
+    wholesale by {!Cqa_core.Plan.clear_cache}; a memo hit ticks
+    [plan.cache.hit].  This memo and the plan cache behind it are the
+    only plan-lookup caches. *)
 
 val clear_memo : unit -> unit
 (** Drop the front-line plan memo (benchmarks; {!Cqa_core.Plan.clear_cache}

@@ -619,65 +619,11 @@ let rewrite ?db ?(verify = false) ?(trace = false) f =
     atoms_after;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Normal-form memo                                                    *)
-(* ------------------------------------------------------------------ *)
+let formula ?db f = (rewrite ?db f).rewritten
 
-(* [formula] runs on every plan-cache lookup (the planner threads it
-   through [Plan.cached ~normalize]), so a hot query shape must pay a
-   hash and a structural compare, not a rule fixpoint.  Keyed on the
-   formula plus the database's physical identity: databases are immutable
-   values here, so [==] is sound and an equal-but-rebuilt database merely
-   misses.  Bounded with a wholesale reset at capacity — the live working
-   set mirrors the plan cache's, which is far smaller. *)
-
-let memo_cap = 1024
-
-let memo : (int, (Db.t option * Ast.formula * Ast.formula) list) Hashtbl.t =
-  Hashtbl.create 256
-
-let memo_size = ref 0
-let memo_lock = Mutex.create ()
-
-let same_db a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> a == b
-  | _ -> false
-
-let clear_memo () =
-  Mutex.protect memo_lock (fun () ->
-      Hashtbl.reset memo;
-      memo_size := 0)
-
-let formula ?db f =
-  let h = Plan.hash_formula f in
-  let hit =
-    Mutex.protect memo_lock (fun () ->
-        match Hashtbl.find_opt memo h with
-        | None -> None
-        | Some entries ->
-            List.find_map
-              (fun (db', f', g) ->
-                if same_db db' db && Plan.equal_formula f' f then Some g
-                else None)
-              entries)
-  in
-  match hit with
-  | Some g -> g
-  | None ->
-      let g = (rewrite ?db f).rewritten in
-      Mutex.protect memo_lock (fun () ->
-          if !memo_size >= memo_cap then begin
-            Hashtbl.reset memo;
-            memo_size := 0
-          end;
-          let entries =
-            Option.value ~default:[] (Hashtbl.find_opt memo h)
-          in
-          Hashtbl.replace memo h ((db, f, g) :: entries);
-          incr memo_size);
-      g
+(* The rewriter keeps no memo: the planner's version-keyed memo sits in
+   front of it, so a replayed question never reaches the rule fixpoint. *)
+let clear_memo () = ()
 
 let diagnostics (res : result) =
   let steps =

@@ -89,12 +89,14 @@ val rewrite : ?db:Db.t -> ?verify:bool -> ?trace:bool -> Ast.formula -> result
 
 val formula : ?db:Db.t -> Ast.formula -> Ast.formula
 (** [(rewrite f).rewritten] without trace or verification: the normal form
-    {!Planner.compile} keys the plan cache on.  Memoized on the formula
-    and the database's physical identity, so a warm plan-cache lookup
-    pays a hash and a structural compare rather than a rule fixpoint. *)
+    {!Planner.compile} keys the plan cache on.  Not memoized: it runs once
+    per {!Planner.compile} miss, and the planner's memo — keyed on the
+    database and its version, since the {!Range} oracles read the
+    database's current bounding boxes — answers replays. *)
 
 val clear_memo : unit -> unit
-(** Drop the {!formula} memo (cold-cache benchmarks, tests). *)
+(** A no-op: {!formula} keeps no memo.  Kept for callers that clear every
+    engine cache by name. *)
 
 val diagnostics : result -> Diagnostic.t list
 (** One [Info] diagnostic per step (code, path, before/after message) plus

@@ -32,11 +32,12 @@ val pp : Format.formatter -> hint -> unit
 
     The second half of the contract: a syntactic cost profile of the query
     and the worst-case projections derived from it (the Section 3 model of
-    quantifier-elimination blowup), used by {!Volume_exact.volume_guarded}
-    to degrade from the Theorem 3 exact engine to the Theorem 4 sampling
-    estimator when exact evaluation is about to explode.  The analysis
-    layer's cost pass ([Cqa_analysis.Cost]) reports the same numbers, so
-    the static diagnostics and the runtime guard can never disagree. *)
+    quantifier-elimination blowup), used by {!Exec.volume_guarded} (the
+    verdict is stored in the plan) to degrade from the Theorem 3 exact
+    engine to the Theorem 4 sampling estimator when exact evaluation is
+    about to explode.  The analysis layer's cost pass
+    ([Cqa_analysis.Cost]) reports the same numbers, so the static
+    diagnostics and the runtime guard can never disagree. *)
 
 type cost_profile = {
   atoms : int;  (** atomic subformulae, [Rel] and [Cmp] *)

@@ -60,7 +60,7 @@ module Holds_tbl = Cqa_conc.Striped_tbl.Make (Holds_key)
    samplers evaluating the same formula at different points land on
    different stripes instead of one global mutex.  The formula-id registry
    and database witness below stay behind [memo_lock] — they are touched
-   once per [holds] call and once per evaluation, not per sample. *)
+   only where the memo is consulted, at quantified [holds] steps. *)
 let holds_memo : bool Holds_tbl.t =
   Holds_tbl.create ~name:"eval.holds_memo" ~cap:100_000
     ~evict:Cqa_conc.Striped_tbl.Reset ()
@@ -100,16 +100,20 @@ let formula_id f =
   Mutex.unlock memo_lock;
   i
 
+(* The memo answers for one database state: a change of identity or of
+   version ([Db.apply_update] edits in place) drops it. *)
 let memo_db : Obj.t ref = ref (Obj.repr ())
+let memo_version = ref 0
 
 let refresh_memo db =
-  let r = Obj.repr db in
+  let r = Obj.repr db and v = Db.version db in
   Mutex.lock memo_lock;
-  if not (!memo_db == r) then begin
+  if not (!memo_db == r && !memo_version = v) then begin
     Holds_tbl.reset holds_memo;
     Fid_tbl.reset formula_ids;
     formula_id_next := 0;
-    memo_db := r
+    memo_db := r;
+    memo_version := v
   end;
   Mutex.unlock memo_lock
 
@@ -225,7 +229,6 @@ and reduce_linear db env (f : Ast.formula) : Linformula.t =
 (* ------------------------------------------------------------------ *)
 
 and holds db env (f : Ast.formula) : bool =
-  refresh_memo db;
   match f with
   | Ast.True -> true
   | Ast.False -> false
@@ -254,6 +257,7 @@ and holds db env (f : Ast.formula) : bool =
          (formula, relevant environment) because guards like the polygon
          triangulation formula re-test the same quantified subformulas at
          the same bindings many times *)
+      refresh_memo db;
       let frees = Ast.free_vars f in
       let key =
         ( formula_id f,

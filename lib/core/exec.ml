@@ -528,7 +528,7 @@ let volume_batch ?(domains = 1) p db bindings =
       |> Array.to_list
 
 (* ------------------------------------------------------------------ *)
-(* Guarded execution and the cached query entry point                  *)
+(* Guarded execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* The Theorem 4 estimate for the plan's query, drawn from a retained
@@ -632,7 +632,3 @@ let volume_guarded ?(domains = 1) ?budget ?(eps = 0.1) ?(delta = 0.1)
           let value = volume_clamped ~domains p db in
           { Volume_exact.value; engine = Volume_exact.Exact_engine; projected;
             budget })
-
-let volume_of_query ?domains ?hint db coords f =
-  let p = Plan.cached ~hint_of:(fun _ -> hint) ~coords f in
-  volume ?domains p db

@@ -79,23 +79,19 @@ val volume_guarded :
   Plan.t ->
   Db.t ->
   Volume_exact.guarded
-(** {!Volume_exact.volume_guarded} driven by the plan: the engine verdict
-    is the one computed at plan time ([budget] overrides trigger a
-    re-decision, nothing else is re-analyzed), the exact path returns the
-    memoized clamped volume, and the fallback path is
-    {!Volume_exact.sampler_estimate} (never memoized — it depends on
-    [eps]/[delta]/[seed]).  Each fallback records a [plan.fallback]
-    telemetry event.
+(** [VOL_I] of the plan's query, with the engine chosen by
+    {!Dispatch.decide}: the only cost-guarded entry point.  The verdict is
+    the one computed at plan time ([budget] overrides trigger a
+    re-decision, nothing else is re-analyzed).  Within budget the exact
+    path returns the memoized clamped volume; past it — or when the plan's
+    hint excludes the exact engine — the query degrades to the Theorem 4
+    estimate of a Blumer-sized sample for [eps]/[delta] (defaults
+    [0.1]/[0.1], seeded by [seed], default [1]), drawn from a retained
+    sample keyed on those knobs and bit-identical to
+    {!Volume_exact.sampler_estimate}.  The [plan.exec.exact] /
+    [plan.exec.fallback] counters record the decisions, and each fallback
+    records a [plan.fallback] telemetry event carrying the projected cost
+    and budget.
+    @raise Volume_exact.Not_semilinear when the exact engine was selected
+    but the query is not linear-reducible.
     @raise Invalid_argument if the plan has parameter slots. *)
-
-val volume_of_query :
-  ?domains:int ->
-  ?hint:Dispatch.hint ->
-  Db.t ->
-  Cqa_logic.Var.t array ->
-  Ast.formula ->
-  Q.t
-(** Drop-in for {!Volume_exact.volume_of_query} routed through the plan
-    cache: repeated shapes skip normalization, analysis and set
-    evaluation entirely.  [hint] is consulted only when the shape misses
-    the cache. *)

@@ -379,11 +379,13 @@ let pp_cache_stats fmt () =
 (* Per-database execution state (owned by Exec)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Keyed on the database's physical identity, like Eval's memo refresh:
-   value equality of databases is expensive and pointless here, while the
-   common case — the same database value re-executed many times — is
-   physical.  A small MRU cap bounds the liveness we impose on old
-   databases. *)
+(* Keyed on the database's physical identity: value equality of databases
+   is expensive and pointless here, while the common case — the same
+   database value re-executed many times — is physical.  Updates mutate
+   the database in place, so identity alone does not date a state: Exec
+   stamps each one with the version it reflects and settles it against
+   [Db.changes_since] before use.  A small MRU cap bounds the liveness we
+   impose on old databases. *)
 let states_cap = 4
 
 let lookup_state p db =

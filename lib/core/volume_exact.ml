@@ -389,11 +389,8 @@ let volume_of_query ?domains ?hint db coords f =
           raise (Not_semilinear "query is not linear-reducible"))
 
 (* ------------------------------------------------------------------ *)
-(* Cost-guarded entry: exact within budget, Theorem 4 beyond it        *)
+(* Guarded results and the one-shot Theorem 4 estimator                *)
 (* ------------------------------------------------------------------ *)
-
-let tm_guard_exact = T.counter "dispatch.guard.exact"
-let tm_guard_fallback = T.counter "dispatch.guard.fallback"
 
 type engine = Exact_engine | Approx_engine of { sample_size : int }
 
@@ -409,51 +406,13 @@ let pp_engine fmt = function
   | Approx_engine { sample_size } ->
       Format.fprintf fmt "approx (Theorem 4 sampling, M = %d)" sample_size
 
-(* The Theorem 4 estimator as used by every guarded fallback path (here
-   and in [Exec]): a Blumer-sized sample for the section family's VC
-   dimension, drawn from a fresh seeded PRNG so a given seed always yields
-   the same estimate. *)
+(* The one-shot Theorem 4 estimator: a Blumer-sized sample for the section
+   family's VC dimension, drawn from a fresh seeded PRNG so a given seed
+   always yields the same estimate.  [Exec]'s retained samples draw the
+   same points, so this is their reference. *)
 let sampler_estimate ?(domains = 1) ~eps ~delta ~seed db coords f =
   let vc_dim = Array.length coords + 2 in
   let m = Cqa_vc.Bounds.blumer_sample_size ~eps ~delta ~vc_dim in
   let prng = Cqa_vc.Prng.create seed in
   let value = Volume_approx.approx_query ~domains ~prng ~m db ~yvars:coords f in
   (value, m)
-
-let volume_guarded ?(domains = 1) ?hint ?(budget = Dispatch.default_budget)
-    ?(eps = 0.1) ?(delta = 0.1) ?(seed = 1) db coords f =
-  let profile = Dispatch.profile_formula f in
-  let projected = Dispatch.projected_qe_atoms profile in
-  let fallback reason =
-    T.incr tm_guard_fallback;
-    if T.enabled () then
-      T.event "dispatch.fallback"
-        (Printf.sprintf "%s; projected=%.3g budget=%.3g eps=%g delta=%g"
-           reason projected budget eps delta);
-    let value, m = sampler_estimate ~domains ~eps ~delta ~seed db coords f in
-    { value; engine = Approx_engine { sample_size = m }; projected; budget }
-  in
-  match (hint : Dispatch.hint option) with
-  | Some (Dispatch.Pointwise_poly | Dispatch.Sum_eval) ->
-      (* outside the exact fragment: sampling is the only engine left, so
-         degrade rather than reject as [volume_of_query] would *)
-      fallback "static hint excludes the exact engine"
-  | (Some Dispatch.Exact_semilinear | None) as hint -> (
-      match Dispatch.decide ~budget profile with
-      | Dispatch.Fallback_approx _ -> fallback "projected cost exceeds budget"
-      | Dispatch.Run_exact ->
-          T.incr tm_guard_exact;
-          let s =
-            match hint with
-            | Some Dispatch.Exact_semilinear -> Eval.eval_set db coords f
-            | _ -> (
-                match Eval.try_eval_set db coords f with
-                | Some s -> s
-                | None -> raise (Not_semilinear "query is not linear-reducible"))
-          in
-          {
-            value = volume_sweep ~domains (Semilinear.clamp_unit s);
-            engine = Exact_engine;
-            projected;
-            budget;
-          })

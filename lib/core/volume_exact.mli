@@ -43,7 +43,9 @@ exception Not_semilinear of string
 val volume_of_query :
   ?domains:int -> ?hint:Dispatch.hint -> Db.t -> Var.t array -> Ast.formula -> Q.t
 (** Exact volume of the set defined by a query over a semi-linear database:
-    the Theorem 3 engine applied to [Eval.eval_set].
+    the Theorem 3 engine applied to [Eval.eval_set], with no plan, cache or
+    rewrite in between.  Queries are served by {!Exec.volume} on a compiled
+    plan; this is the reference that path is tested against.
 
     Without [?hint], linear-reducibility is discovered by the runtime probe
     ([Eval.try_eval_set], observable through [Eval.runtime_probes]).  With
@@ -54,7 +56,11 @@ val volume_of_query :
     @raise Not_semilinear when the query is outside the exact fragment.
     @raise Unbounded when the defined set has infinite measure. *)
 
-(** {1 Cost-guarded dispatch} *)
+(** {1 Guarded results}
+
+    The result type of {!Exec.volume_guarded}, the cost-guarded entry
+    point, and the one-shot Theorem 4 estimator its fallback is checked
+    against. *)
 
 type engine =
   | Exact_engine  (** Theorem 3 sweep, exact rational result *)
@@ -79,40 +85,11 @@ val sampler_estimate :
   Var.t array ->
   Ast.formula ->
   Q.t * int
-(** The Theorem 4 sampling estimator behind every guarded fallback: a
-    Blumer-sized sample (for VC dimension [dim + 2]) of the clamped section
-    set, from a PRNG freshly seeded with [seed].  Returns the estimate and
-    the sample size used.  Shared by {!volume_guarded} and the plan
-    executor ({!Exec.volume_guarded}), so the two fallbacks are
-    bit-identical for equal seeds. *)
-
-val volume_guarded :
-  ?domains:int ->
-  ?hint:Dispatch.hint ->
-  ?budget:float ->
-  ?eps:float ->
-  ?delta:float ->
-  ?seed:int ->
-  Db.t ->
-  Var.t array ->
-  Ast.formula ->
-  guarded
-(** [VOL_I] of the query's section set, with the engine chosen by
-    {!Dispatch.decide}: within [budget] (default {!Dispatch.default_budget},
-    i.e. unguarded) the Theorem 3 exact engine runs on the clamped set;
-    when the projected quantifier-elimination cost exceeds the budget — or
-    a [Pointwise_poly] / [Sum_eval] hint excludes the exact engine outright
-    — evaluation degrades to the Theorem 4 sampling estimator with a
-    Blumer-sized sample for [eps]/[delta] (defaults [0.1]/[0.1], seeded by
-    [seed], default [1]).  Each fallback records a [dispatch.fallback]
-    telemetry event (when telemetry is enabled) carrying the projected cost
-    and budget; the [dispatch.guard.exact] / [dispatch.guard.fallback]
-    counters record the decisions themselves.
-
-    Both engines compute the same quantity ([VOL_I], the intersection with
-    the unit cube), so exact results and estimates are directly comparable.
-    @raise Not_semilinear when the exact engine was selected but the
-    runtime probe finds the query not linear-reducible. *)
+(** The Theorem 4 sampling estimator: a Blumer-sized sample (for VC
+    dimension [dim + 2]) of the clamped section set, from a PRNG freshly
+    seeded with [seed].  Returns the estimate and the sample size used.
+    {!Exec.volume_guarded}'s fallback draws the same points from a
+    retained sample, so the two are bit-identical for equal seeds. *)
 
 val arrangement_vertices : Semilinear.t -> Q.t array list
 (** All 0-dimensional intersections of [dim]-subsets of the constraint

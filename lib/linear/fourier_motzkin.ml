@@ -71,23 +71,16 @@ let tighten_parallel conj =
   eqs @ List.sort Linconstr.compare ineqs
 
 (* Optimization toggles, exposed for the ablation benchmarks: each knob
-   names one of the design choices DESIGN.md calls out.  The first three are
-   on by default; turning them off restores textbook Fourier-Motzkin
-   behaviour.  [simplex_redundancy] selects the pure-simplex per-atom
-   redundancy oracle instead of the default hybrid (elimination for small
-   conjunctions, simplex above the dispatch threshold): both are exact, so
-   the toggle changes speed only, and on the small conjunctions that
-   dominate the benchmark workloads the hybrid is faster -- it defaults to
-   off. *)
+   names one of the design choices DESIGN.md calls out.  All are on by
+   default; turning them off restores textbook Fourier-Motzkin
+   behaviour. *)
 type optimizations = {
   mutable tightening : bool; (* parallel-atom strengthening after each step *)
   mutable elim_pruning : bool; (* satisfiability-based pruning of large conjunctions *)
   mutable absorption : bool; (* drop disjuncts syntactically implied by another *)
-  mutable simplex_redundancy : bool; (* simplex oracle for per-atom redundancy *)
 }
 
-let optimizations =
-  { tightening = true; elim_pruning = true; absorption = true; simplex_redundancy = false }
+let optimizations = { tightening = true; elim_pruning = true; absorption = true }
 
 (* Partition a conjunction by the sign of the coefficient of [x].  The
    accumulators are consed and the frees reversed once at the end, keeping
@@ -265,9 +258,7 @@ let sat_memo : bool Sat_tbl.t =
 
 let sat_cache_size () = Sat_tbl.length sat_memo
 
-(* The verdict is a property of the constraint set, not of the deciding
-   oracle, so every oracle shares the one table. *)
-let satisfiable_conj_memo oracle conj =
+let satisfiable_conj conj =
   match conj with
   | [] -> true
   | _ -> (
@@ -279,11 +270,9 @@ let satisfiable_conj_memo oracle conj =
           b
       | None ->
           T.incr tm_sat_memo_miss;
-          let b = oracle conj in
+          let b = satisfiable_conj_raw conj in
           Sat_tbl.replace sat_memo key b;
           b)
-
-let satisfiable_conj conj = satisfiable_conj_memo satisfiable_conj_raw conj
 
 let satisfiable_dnf d = List.exists satisfiable_conj d
 
@@ -301,39 +290,13 @@ let prune_redundant conj =
   in
   go [] conj
 
-(* The same per-atom sweep with the simplex as the entailment oracle: each
-   check is one LP per negated disjunct instead of a full re-elimination of
-   the context, so it scales polynomially with the conjunction size.  The
-   satisfiability queries go through the shared verdict memo (the verdict
-   does not depend on the oracle), so warm checks are table hits for either
-   pruner.  Both oracles are exact and complete over the reals, so the two
-   pruners make identical keep/drop decisions -- toggling
-   [simplex_redundancy] changes speed, never results. *)
-let entails_conj_simplex conj a =
-  List.for_all
-    (fun n -> not (satisfiable_conj_memo satisfiable_conj_simplex (n :: conj)))
-    (Linconstr.negate a)
-
-let prune_redundant_simplex conj =
-  let rec go kept = function
-    | [] -> List.rev kept
-    | a :: rest ->
-        if entails_conj_simplex (List.rev_append kept rest) a then go kept rest
-        else go (a :: kept) rest
-  in
-  go [] conj
-
-let prune_checked conj =
-  if optimizations.simplex_redundancy then prune_redundant_simplex conj
-  else prune_redundant conj
-
 (* Keep Fourier-Motzkin's intermediate conjunctions irredundant: without
    this, each eliminated variable can square the constraint count, which is
    the method's classical failure mode. *)
 let () =
   prune_large :=
     fun conj ->
-      if List.length conj > prune_threshold then prune_checked conj else conj
+      if List.length conj > prune_threshold then prune_redundant conj else conj
 
 (* Syntactic dedup of disjuncts (atoms sorted first), plus absorption:
    a disjunct whose atom set contains another disjunct's atom set is
@@ -390,7 +353,7 @@ let complement_dnf (d : Linformula.dnf) : Linformula.dnf =
                             let t = tighten_parallel merged in
                             Some
                               (if List.length t > prune_threshold then
-                                 prune_checked t
+                                 prune_redundant t
                                else t)
                           end
                           else None)

@@ -10,19 +10,14 @@ type optimizations = {
   mutable tightening : bool;
   mutable elim_pruning : bool;
   mutable absorption : bool;
-  mutable simplex_redundancy : bool;
 }
 
 val optimizations : optimizations
 (** Toggles for the elimination-pipeline optimizations (parallel-atom
     tightening, satisfiability-based pruning of large conjunctions, and
-    disjunct absorption); the first three are on by default, and turning
-    them off restores textbook Fourier-Motzkin.  [simplex_redundancy]
-    switches the per-atom redundancy oracle from the default hybrid
-    (elimination below the dispatch threshold, simplex above) to pure
-    simplex; both oracles are exact, so the toggle changes speed, never
-    results.  It defaults to off because the hybrid is faster on the small
-    conjunctions that dominate.  Exposed for the ablation benchmarks. *)
+    disjunct absorption); all are on by default, and turning them off
+    restores textbook Fourier-Motzkin.  Exposed for the ablation
+    benchmarks. *)
 
 val eliminate_var : Var.t -> Linformula.conjunction -> Linformula.conjunction option
 (** [eliminate_var x conj] is a conjunction equivalent to [exists x. conj];
@@ -84,11 +79,6 @@ val entails_conj : Linformula.conjunction -> Linconstr.t -> bool
 
 val prune_redundant : Linformula.conjunction -> Linformula.conjunction
 (** Remove atoms implied by the remaining ones (quadratic in FM-sat calls). *)
-
-val prune_redundant_simplex : Linformula.conjunction -> Linformula.conjunction
-(** The same sweep with {!Simplex.implied} as the oracle: one LP per negated
-    disjunct instead of a re-elimination.  Both oracles are exact, so the
-    result is identical to {!prune_redundant}'s. *)
 
 val sat_cache_size : unit -> int
 (** Number of memoized conjunction-satisfiability verdicts (keyed on sorted

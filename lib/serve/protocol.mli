@@ -10,7 +10,11 @@
       cache) the query's plan, register it under its plan id for later
       [By_id] requests, and describe it.
     - [{"op":"vol",...}] — [VOL_I] of a query, by text or by registered
-      plan id, with optional parameter bindings in ["args"].
+      plan id, with optional parameter bindings in ["args"].  An id
+      stands for the questions it was registered with, recompiled against
+      the database as it is now; after an update the response may name a
+      different plan id, and an id whose questions an update has made
+      compile differently is refused with [ambiguous-plan].
     - [{"op":"vol_batch",...,"bindings":[[...],...]}] — many bindings of
       one plan in a single request.
     - [{"op":"insert","schema":S,"rel":R,"region":F}] /
@@ -42,7 +46,7 @@
     Responses are [{"ok":true,"op":...,...}] or
     [{"ok":false,"error":{"code":C,"msg":M}}] with stable error codes:
     [parse-error], [bad-request], [unknown-op], [unknown-plan],
-    [bad-args], [over-budget], [not-exact], [not-semilinear], [unbounded],
+    [ambiguous-plan], [bad-args], [over-budget], [not-exact], [not-semilinear], [unbounded],
     [server-busy], [internal-error]. *)
 
 open Cqa_arith

@@ -108,11 +108,33 @@ let respond_err c s =
 (* Plan resolution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Served plans, addressable by plan id; the Db is kept with the plan so
-   every request against one schema shares one physical database and hence
-   one memoized execution state. *)
+(* Served plans, addressable by plan id.  An id names the questions it
+   was registered for — (formula, params, budget) over one interned
+   database, so every request against one schema shares one physical
+   database and hence one memoized execution state — each with the plan
+   it last compiled to and the database version it was compiled at.  The
+   rewriter reads the database's bounding boxes, so after an update the
+   same question can compile to a different plan: a by-id request replays
+   the kept plan while the version is unchanged and recompiles the
+   question through [Planner.compile] otherwise.  Two questions can share
+   an id only because they rewrote alike under the boxes of the time; if
+   an update makes them compile apart, the id no longer names one answer
+   and a by-id request is refused with [ambiguous-plan]. *)
+type question = {
+  f : Ast.formula;
+  params : Cqa_logic.Var.t array;
+  qbudget : float;
+  qdb : Db.t;
+}
+
+type registered = {
+  q : question;
+  mutable plan : Plan.t;
+  mutable version : int;  (* [Db.version q.qdb] when [plan] was compiled *)
+}
+
 type registry = {
-  plans : (int, Plan.t * Db.t) Hashtbl.t;
+  plans : (int, registered list) Hashtbl.t;
   dbs : (string, Db.t) Hashtbl.t;  (* schema spec -> interned empty db *)
   empty_db : Db.t;
 }
@@ -137,12 +159,73 @@ let db_for reg = function
               Hashtbl.replace reg.dbs spec db;
               Ok db))
 
+let same_question a b =
+  a.qdb == b.qdb && a.qbudget = b.qbudget
+  && Array.length a.params = Array.length b.params
+  && Array.for_all2 Cqa_logic.Var.equal a.params b.params
+  && Plan.equal_formula a.f b.f
+
+(* Compile [q] against its database as it is now and register it under
+   the resulting plan id (once per id). *)
+let compile reg q =
+  let version = Db.version q.qdb in
+  match
+    Cqa_analysis.Planner.compile ~db:q.qdb ~budget:q.qbudget ~params:q.params
+      q.f
+  with
+  | exception Invalid_argument m -> Error ("bad-request", m)
+  | p ->
+      if Array.length (Plan.coords p) = 0 then
+        Error
+          ( "bad-request",
+            "query has no free coordinates: VOL_I is 0-dimensional" )
+      else begin
+        let id = Plan.id p in
+        let entries = Option.value ~default:[] (Hashtbl.find_opt reg.plans id) in
+        (match List.find_opt (fun r -> same_question r.q q) entries with
+        | Some r ->
+            r.plan <- p;
+            r.version <- version
+        | None ->
+            Hashtbl.replace reg.plans id ({ q; plan = p; version } :: entries));
+        Ok p
+      end
+
+(* The plan a registered question stands for now. *)
+let current reg r =
+  if Db.version r.q.qdb = r.version then Ok r.plan
+  else
+    match compile reg r.q with
+    | Ok p as ok ->
+        r.plan <- p;
+        r.version <- Db.version r.q.qdb;
+        ok
+    | Error _ as e -> e
+
 let resolve reg ~budget target =
   match target with
   | P.By_id id -> (
       match Hashtbl.find_opt reg.plans id with
-      | Some (p, db) -> Ok (p, db)
-      | None -> Error ("unknown-plan", Printf.sprintf "no plan #%d registered" id))
+      | None | Some [] ->
+          Error ("unknown-plan", Printf.sprintf "no plan #%d registered" id)
+      | Some (r :: rest) -> (
+          match current reg r with
+          | Error _ as e -> e
+          | Ok p ->
+              let agrees r' =
+                r'.q.qdb == r.q.qdb
+                && (match current reg r' with
+                   | Ok p' -> Plan.id p' = Plan.id p
+                   | Error _ -> false)
+              in
+              if List.for_all agrees rest then Ok (p, r.q.qdb)
+              else
+                Error
+                  ( "ambiguous-plan",
+                    Printf.sprintf
+                      "plan #%d was registered for queries that an update \
+                       has made compile differently; send the query text"
+                      id )))
   | P.By_query { query; schema; params } -> (
       match db_for reg schema with
       | Error e -> Error e
@@ -150,19 +233,12 @@ let resolve reg ~budget target =
           match Parser.formula_of_string query with
           | exception Parser.Parse_error m -> Error ("parse-error", "query: " ^ m)
           | f -> (
-              let params = P.vars_of_spec params in
-              match Cqa_analysis.Planner.compile ~db ~budget ~params f with
-              | exception Invalid_argument m -> Error ("bad-request", m)
-              | p ->
-                  if Array.length (Plan.coords p) = 0 then
-                    Error
-                      ( "bad-request",
-                        "query has no free coordinates: VOL_I is \
-                         0-dimensional" )
-                  else begin
-                    Hashtbl.replace reg.plans (Plan.id p) (p, db);
-                    Ok (p, db)
-                  end)))
+              match
+                compile reg
+                  { f; params = P.vars_of_spec params; qbudget = budget; qdb = db }
+              with
+              | Ok p -> Ok (p, db)
+              | Error _ as e -> e)))
 
 let hint_excludes p =
   match Plan.hint p with
@@ -483,7 +559,8 @@ let clear_engine_caches () =
   Plan.clear_cache ();
   Cqa_linear.Fourier_motzkin.clear_qe_cache ();
   Cqa_linear.Semilinear.clear_bbox_cache ();
-  Cqa_linear.Simplex.clear_basis_cache ()
+  Cqa_linear.Simplex.clear_basis_cache ();
+  Cqa_linear.Flatrow.clear_cache ()
 
 let handle_request st conn line =
   T.incr tm_req;

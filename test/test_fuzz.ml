@@ -169,10 +169,12 @@ let prop_volume_agreement =
 let prop_guarded_agreement =
   Test.make ~name:"guarded dispatch exact path matches" ~count
     ~print:print_formula gen_boxed (fun f ->
-      let v = Volume_exact.volume_of_query db0 coords f in
-      let g = Volume_exact.volume_guarded db0 coords f in
+      let p = Planner.compile ~db:db0 ~coords f in
+      let g = Exec.volume_guarded p db0 in
       match g.Volume_exact.engine with
-      | Volume_exact.Exact_engine -> Q.equal g.Volume_exact.value v
+      | Volume_exact.Exact_engine ->
+          Q.equal g.Volume_exact.value
+            (Volume_exact.volume_clamped (Eval.eval_set db0 coords f))
       | Volume_exact.Approx_engine _ -> true (* only past the budget *))
 
 (* ------------------------------------------------------------------ *)

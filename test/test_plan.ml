@@ -87,9 +87,15 @@ let test_plan_vs_direct_domains () =
 let test_volume_of_query_cached () =
   Plan.clear_cache ();
   let f = parse sweep_src in
-  let v1 = Exec.volume_of_query db0 yvars f in
+  (* no hint: the cold run must probe linearity, the warm one must not *)
+  let probes0 = Eval.runtime_probes () in
+  let p = Plan.cached ~coords:yvars f in
+  let v1 = Exec.volume p db0 in
   let probes = Eval.runtime_probes () in
-  let v2 = Exec.volume_of_query db0 yvars f in
+  check "cold run probes linearity" true (probes > probes0);
+  let p' = Plan.cached ~coords:yvars f in
+  let v2 = Exec.volume p' db0 in
+  check_int "replay returns the cached plan" (Plan.id p) (Plan.id p');
   check "warm value identical" true (Q.equal v1 v2);
   check_int "warm hit runs no runtime probe" probes (Eval.runtime_probes ());
   check "matches the unplanned entry" true
@@ -204,9 +210,9 @@ let test_warm_cold_guarded () =
     (cold.Volume_exact.engine = Volume_exact.Exact_engine);
   check "warm value = cold value" true
     (Q.equal cold.Volume_exact.value warm.Volume_exact.value);
-  let direct = Volume_exact.volume_guarded db0 yvars f in
-  check "matches the unplanned guarded entry" true
-    (Q.equal cold.Volume_exact.value direct.Volume_exact.value);
+  check "matches the unplanned exact volume" true
+    (Q.equal cold.Volume_exact.value
+       (Volume_exact.volume_clamped (Eval.eval_set db0 yvars f)));
   (* fallback path: the plan records the fallback verdict at compile time
      and the estimator agrees with the unplanned one for equal seeds *)
   let g = parse blowup_src in
@@ -220,15 +226,16 @@ let test_warm_cold_guarded () =
   let b =
     Exec.volume_guarded ~seed:7 (Plan.cached ~budget:1e6 ~coords:gcoords g) db0
   in
-  let d = Volume_exact.volume_guarded ~budget:1e6 ~seed:7 db0 gcoords g in
+  let d, _ =
+    Volume_exact.sampler_estimate ~eps:0.1 ~delta:0.1 ~seed:7 db0 gcoords g
+  in
   check "sampling engine selected" true
     (match a.Volume_exact.engine with
     | Volume_exact.Approx_engine _ -> true
     | Volume_exact.Exact_engine -> false);
   check "warm fallback = cold fallback" true
     (Q.equal a.Volume_exact.value b.Volume_exact.value);
-  check "matches the unplanned fallback" true
-    (Q.equal a.Volume_exact.value d.Volume_exact.value)
+  check "matches the one-shot sampler" true (Q.equal a.Volume_exact.value d)
 
 let test_planner_hint () =
   Plan.clear_cache ();

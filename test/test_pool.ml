@@ -1,4 +1,4 @@
-(* Persistent domain pool (Cqa_core.Pool, re-exported from Cqa_conc):
+(* Persistent domain pool (Cqa_conc.Pool):
    worker reuse, result determinism across pool sizes and on a warm pool,
    the exception-in-index-order contract, the nested-parallelism fallback,
    and the lock-striped memo tables' agreement with the single-mutex
@@ -10,6 +10,7 @@ open Cqa_linear
 open Cqa_vc
 open Cqa_core
 module T = Cqa_telemetry.Telemetry
+module Pool = Cqa_conc.Pool
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

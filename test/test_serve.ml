@@ -186,6 +186,19 @@ let test_parameterized_vol_batch_reset () =
   check_str "plan id gone after reset" "unknown-plan"
     (error_code (vol_at "0" "1"))
 
+(* reset must leave a cold server: the float-filter row cache too *)
+let test_reset_clears_row_cache () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun c ->
+  let q =
+    {|{"op":"vol","query":"exists z . 0 <= x /\\ x <= z /\\ z <= 1 /\\ 0 <= y /\\ y <= x"}|}
+  in
+  check "vol ok" true (is_ok (Client.request c q));
+  if Cqa_linear.Flatrow.enabled () then
+    check "the vol cached float rows" true (Cqa_linear.Flatrow.cache_size () > 0);
+  check "reset ok" true (is_ok (Client.request c {|{"op":"reset"}|}));
+  check_int "row cache empty after reset" 0 (Cqa_linear.Flatrow.cache_size ())
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -343,6 +356,69 @@ let test_update_roundtrip () =
   check_int "db_version tracks every update" 3
     (int_field "version" (Client.request c (db_version_req sch)))
 
+(* The same question before and after an insert, by query text and by
+   the plan id registered before the insert: neither may replay the plan
+   rewritten against the old bounding box of R (where [x >= 2] was
+   disjoint from R and compiled to false). *)
+let test_vol_after_insert () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun c ->
+  let sch = "R:2" in
+  let query = {|"query":"R(x, y) /\\ x >= 2","schema":"R:2"|} in
+  let insert region =
+    Client.request c
+      (Printf.sprintf
+         {|{"op":"insert","schema":"%s","rel":"R","region":"%s"}|} sch region)
+  in
+  let vol target =
+    str_field "vol" (Client.request c (Printf.sprintf {|{"op":"vol",%s}|} target))
+  in
+  check "seed insert ok" true
+    (is_ok (insert {|0 <= x0 /\\ x0 <= 1 /\\ 0 <= x1 /\\ x1 <= 1|}));
+  let pid =
+    int_field "plan" (Client.request c (Printf.sprintf {|{"op":"plan",%s}|} query))
+  in
+  check_str "query disjoint from R" "0" (vol query);
+  check "insert ok" true
+    (is_ok (insert {|2 <= x0 /\\ x0 <= 3 /\\ 0 <= x1 /\\ x1 <= 1|}));
+  check_str "insert reflected in the same query" "1" (vol query);
+  check_str "insert reflected through the old plan id" "1"
+    (vol (Printf.sprintf {|"plan":%d|} pid))
+
+(* Two questions that rewrite alike under the boxes of the time share a
+   plan id: with R = [0,1]^2 both [x >= 2] and [x >= 3] conjoined with R
+   compile to false.  After an insert they compile apart, so the shared
+   id names no single answer any more and is refused; each question still
+   answers correctly by text and by its new id. *)
+let test_colliding_ids_after_insert () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun c ->
+  let insert region =
+    Client.request c
+      (Printf.sprintf {|{"op":"insert","schema":"R:2","rel":"R","region":"%s"}|}
+         region)
+  in
+  let q2 = {|"query":"R(x, y) /\\ x >= 2","schema":"R:2"|} in
+  let q3 = {|"query":"R(x, y) /\\ x >= 3","schema":"R:2"|} in
+  let vol target = Client.request c (Printf.sprintf {|{"op":"vol",%s}|} target) in
+  let plan target =
+    int_field "plan" (Client.request c (Printf.sprintf {|{"op":"plan",%s}|} target))
+  in
+  let by_id id = Printf.sprintf {|"plan":%d|} id in
+  check "seed insert ok" true
+    (is_ok (insert {|0 <= x0 /\\ x0 <= 1 /\\ 0 <= x1 /\\ x1 <= 1|}));
+  let id = plan q2 in
+  check_int "both questions share one plan id" id (plan q3);
+  check_str "shared id before the insert" "0" (str_field "vol" (vol (by_id id)));
+  check "insert ok" true
+    (is_ok (insert {|2 <= x0 /\\ x0 <= 3 /\\ 0 <= x1 /\\ x1 <= 1|}));
+  check_str "shared id refused after the insert" "ambiguous-plan"
+    (error_code (vol (by_id id)));
+  check_str "x >= 2 by text" "1" (str_field "vol" (vol q2));
+  check_str "x >= 3 by text" "0" (str_field "vol" (vol q3));
+  check_str "x >= 2 by its new id" "1" (str_field "vol" (vol (by_id (plan q2))));
+  check_str "x >= 3 by its new id" "0" (str_field "vol" (vol (by_id (plan q3))))
+
 let test_update_errors () =
   with_server @@ fun addr ->
   with_client addr @@ fun c ->
@@ -397,7 +473,9 @@ let () =
           Alcotest.test_case "rewritten spellings share a plan" `Quick
             test_rewritten_plan_sharing;
           Alcotest.test_case "parameterized vol, vol_batch, reset" `Quick
-            test_parameterized_vol_batch_reset ] );
+            test_parameterized_vol_batch_reset;
+          Alcotest.test_case "reset clears the row cache" `Quick
+            test_reset_clears_row_cache ] );
       ( "admission",
         [ Alcotest.test_case "over-budget rejection" `Quick
             test_admission_reject;
@@ -409,6 +487,10 @@ let () =
       ( "updates",
         [ Alcotest.test_case "insert, remove, db_version round trip" `Quick
             test_update_roundtrip;
+          Alcotest.test_case "vol after an insert, by query and by id" `Quick
+            test_vol_after_insert;
+          Alcotest.test_case "colliding plan ids after an insert" `Quick
+            test_colliding_ids_after_insert;
           Alcotest.test_case "update error codes" `Quick test_update_errors ] );
       ( "disconnects",
         [ Alcotest.test_case "mid-request disconnects tolerated" `Quick

@@ -8,7 +8,7 @@ open Cqa_vc
 open Cqa_core
 module T = Cqa_telemetry.Telemetry
 module J = Cqa_telemetry.Tjson
-module Pool = Cqa_core.Pool
+module Pool = Cqa_conc.Pool
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -288,24 +288,37 @@ let test_cost_profile_matches_cost_pass () =
         projected > 1e9 && budget = 1e6
     | Dispatch.Run_exact -> false)
 
-let test_guarded_fallback_fires () =
+(* The guarded path is Planner.compile -> Exec.volume_guarded; the
+   unplanned references it must match are the one-shot sampler and the
+   exact clamped volume of the evaluated set. *)
+let guarded_plan ?budget () =
   let f = blowup_formula () in
   let coords = Array.of_list (Var.Set.elements (Ast.free_vars f)) in
   let db = Db.empty Schema.empty in
+  Plan.clear_cache ();
+  (f, coords, db, Cqa_analysis.Planner.compile ~db ?budget ~coords f)
+
+let test_guarded_fallback_fires () =
+  let f, coords, db, p = guarded_plan ~budget:1e6 () in
   with_telemetry @@ fun () ->
   let before = T.snapshot () in
-  let r = Volume_exact.volume_guarded ~budget:1e6 db coords f in
+  let r = Exec.volume_guarded p db in
   let d = T.diff ~before ~after:(T.snapshot ()) in
   check "small budget selects the sampling engine" true
     (match r.Volume_exact.engine with
     | Volume_exact.Approx_engine { sample_size } -> sample_size > 0
     | Volume_exact.Exact_engine -> false);
-  check_int "fallback counter fired" 1
-    (counter_value d "dispatch.guard.fallback");
+  check_int "fallback counter fired" 1 (counter_value d "plan.exec.fallback");
+  check_int "no exact decision" 0 (counter_value d "plan.exec.exact");
   check "fallback event recorded" true
-    (List.exists (fun (name, _) -> name = "dispatch.fallback") d.T.events);
+    (List.exists (fun (name, _) -> name = "plan.fallback") d.T.events);
   check "estimate lands in [0, 1]" true
     (Q.sign r.Volume_exact.value >= 0 && Q.leq r.Volume_exact.value Q.one);
+  check "bit-identical to the one-shot sampler" true
+    (Q.equal r.Volume_exact.value
+       (fst
+          (Volume_exact.sampler_estimate ~eps:0.1 ~delta:0.1 ~seed:1 db coords
+             f)));
   (* eps = delta = 0.1 defaults: the exact VOL_I is 1/2, so the Blumer-sized
      estimate must land within eps with overwhelming margin for this seed *)
   check "estimate is eps-close to the exact 1/2" true
@@ -313,18 +326,21 @@ let test_guarded_fallback_fires () =
     && 0.5 -. Q.to_float r.Volume_exact.value < 0.1)
 
 let test_guarded_default_budget_is_exact () =
-  let f = blowup_formula () in
-  let coords = Array.of_list (Var.Set.elements (Ast.free_vars f)) in
-  let db = Db.empty Schema.empty in
+  let f, coords, db, p = guarded_plan () in
   with_telemetry @@ fun () ->
   let before = T.snapshot () in
-  let r = Volume_exact.volume_guarded db coords f in
+  let r = Exec.volume_guarded p db in
   let d = T.diff ~before ~after:(T.snapshot ()) in
   check "default budget keeps the exact engine" true
     (r.Volume_exact.engine = Volume_exact.Exact_engine);
-  check_int "no fallback" 0 (counter_value d "dispatch.guard.fallback");
-  check_int "exact-decision counter" 1 (counter_value d "dispatch.guard.exact");
-  check "exact VOL_I is 1/2" true (r.Volume_exact.value = Q.of_ints 1 2)
+  check_int "no fallback" 0 (counter_value d "plan.exec.fallback");
+  check_int "exact-decision counter" 1 (counter_value d "plan.exec.exact");
+  check "no fallback event" false
+    (List.exists (fun (name, _) -> name = "plan.fallback") d.T.events);
+  check "exact VOL_I is 1/2" true (r.Volume_exact.value = Q.of_ints 1 2);
+  check "matches the unplanned exact volume" true
+    (Q.equal r.Volume_exact.value
+       (Volume_exact.volume_clamped (Eval.eval_set db coords f)))
 
 let () =
   Alcotest.run "cqa_telemetry"

@@ -251,6 +251,46 @@ let test_sampler_rescore () =
   (* warm repeat: the retained sample answers again, identically *)
   check "warm repeat is stable" true (Q.equal (guarded ()) (oneshot ()))
 
+(* ------------------------------------------------------------------ *)
+(* Memos above the executor see in-place updates                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The rewriter reads R's bounding box, so before the insert it proves
+   [x >= 2] disjoint from R and compiles the query to [false]; compiling
+   the same question after the insert must not replay that plan. *)
+let test_planner_after_update () =
+  let db = Db.empty schema_r2 in
+  ignore (Db.apply_update db (Db.Insert ("R", unit_box)));
+  let f = Parser.formula_of_string "R(x, y) /\\ x >= 2" in
+  let vol () = Exec.volume (Cqa_analysis.Planner.compile ~db ~coords f) db in
+  check "disjoint from R before the insert" true (Q.equal (vol ()) Q.zero);
+  ignore
+    (Db.apply_update db (Db.Insert ("R", box2 (q 2, q 3) (Q.zero, Q.one))));
+  check "the insert is reflected in a recompiled query" true
+    (Q.equal (vol ()) Q.one)
+
+(* Eval's holds memo caches quantified-subformula truth per binding; an
+   estimate drawn after an in-place insert must equal the estimate on a
+   database freshly built with the same contents. *)
+let test_holds_memo_after_update () =
+  let f = Parser.formula_of_string "exists z . R(x, z) /\\ y <= z" in
+  let left = box2 (Q.zero, qq 1 2) (Q.zero, Q.one)
+  and right = box2 (qq 1 2, Q.one) (Q.zero, Q.one) in
+  let estimate db =
+    fst (Volume_exact.sampler_estimate ~eps:0.1 ~delta:0.1 ~seed:1 db coords f)
+  in
+  let db = Db.empty schema_r2 in
+  ignore (Db.apply_update db (Db.Insert ("R", left)));
+  let before = estimate db in
+  ignore (Db.apply_update db (Db.Insert ("R", right)));
+  let fresh = Db.empty schema_r2 in
+  ignore (Db.apply_update fresh (Db.Insert ("R", left)));
+  ignore (Db.apply_update fresh (Db.Insert ("R", right)));
+  let after = estimate db in
+  check "the insert changes the estimate" false (Q.equal before after);
+  check "in-place db = freshly built db" true (Q.equal after (estimate fresh));
+  check "the whole unit square after the insert" true (Q.equal after Q.one)
+
 let () =
   Alcotest.run "cqa_update"
     [
@@ -269,5 +309,12 @@ let () =
             test_mru_invalidation;
           Alcotest.test_case "retained-sample re-scoring" `Quick
             test_sampler_rescore;
+        ] );
+      ( "memos",
+        [
+          Alcotest.test_case "planner recompiles after an update" `Quick
+            test_planner_after_update;
+          Alcotest.test_case "holds memo after an update" `Quick
+            test_holds_memo_after_update;
         ] );
     ]
