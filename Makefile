@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-check serve-smoke verify lint fuzz fmt fmt-check clean
+.PHONY: all build test bench bench-smoke bench-check serve-smoke perfbench-smoke verify lint fuzz fmt fmt-check clean
 
 all: build
 
@@ -109,9 +109,26 @@ serve-smoke:
 	echo "serve-smoke OK ($$reqs requests served)"; \
 	rm -f $$out $$sock
 
+# End-to-end answer checks of the steady benchmark (perfbench/): a short
+# traced run of each workload must report every answer correct (cold
+# exact recompute, byte-identical serve replay, bit-identical sampler
+# estimates) and no failed operation.  About 15 s in all.
+PERFBENCH_WORKLOADS := adhoc_exact serve_read approx_sample
+
+perfbench-smoke:
+	@set -e; for w in $(PERFBENCH_WORKLOADS); do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 1) \
+	    || { echo "perfbench-smoke: $$w did not run"; exit 1; }; \
+	  res=$$(printf '%s\n' "$$out" | tail -n 1); \
+	  if printf '%s\n' "$$res" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; \
+	  then echo "perfbench-smoke $$w OK"; \
+	  else echo "perfbench-smoke: $$w failed its answer checks: $$res"; exit 1; fi; \
+	done
+
 # The tier-1 gate: build, test suite, benchmark smoke run + key-set
-# gate, and the end-to-end query-service smoke.
-verify: build test bench-check serve-smoke
+# gate, the end-to-end query-service smoke and the end-to-end benchmark's
+# answer checks.
+verify: build test bench-check serve-smoke perfbench-smoke
 
 clean:
 	dune clean

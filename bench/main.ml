@@ -51,7 +51,7 @@ let tri_db = Paper_examples.triangle_db ()
 
 let sample_1k =
   let prng = Prng.create 55 in
-  Approx_volume.random_sample ~prng ~dim:2 ~n:1000
+  Approx_volume.sample_points ~prng ~dim:2 1000
 
 let prop5_inst, prop5_rel = Paper_examples.prop5_instance ~bits:4
 

@@ -51,6 +51,16 @@ let domains_arg =
               default."
              default_domains))
 
+(* The sampler's eps and delta: a probability strictly between 0 and 1,
+   rejected at parse time rather than by the sample-size bound. *)
+let open_unit =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. && x < 1. -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a number in (0, 1)" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* [plan_cache] additionally reports the plan cache's per-stripe
    accounting: spliced into the JSON object as a "plan_cache" member (the
    telemetry schema is a flat object, so appending a sibling member keeps
@@ -131,18 +141,19 @@ let volume_cmd =
 (* ------------------------------------------------------------------ *)
 
 let approx_cmd =
-  let eps = Arg.(value & opt float 0.05 & info [ "eps" ] ~doc:"Accuracy.") in
+  let eps = Arg.(value & opt open_unit 0.05 & info [ "eps" ] ~doc:"Accuracy.") in
   let delta =
-    Arg.(value & opt float 0.1 & info [ "delta" ] ~doc:"Failure probability.")
+    Arg.(value & opt open_unit 0.1 & info [ "delta" ] ~doc:"Failure probability.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let run eps delta seed domains stats =
     with_stats stats @@ fun () ->
     let prng = Prng.create seed in
     let disk = Generators.random_disk prng in
-    let { Volume_approx.estimate; sample_size } =
-      Volume_approx.approx_semialg_eps ~domains ~prng ~eps ~delta ~vc_dim:3
-        disk
+    let sample_size = Bounds.blumer_sample_size ~eps ~delta ~vc_dim:3 in
+    let estimate =
+      Approx_volume.estimate_random ~domains ~prng
+        ~dim:(Cqa_poly.Semialg.dim disk) ~n:sample_size (Cqa_poly.Semialg.mem disk)
     in
     Format.printf
       "random disk in I^2; eps = %g, delta = %g -> sample size M = %d@." eps
@@ -621,11 +632,11 @@ let vol_cmd =
              running the exact engine.  Default: unguarded.")
   in
   let eps =
-    Arg.(value & opt float 0.1 & info [ "eps" ] ~doc:"Fallback accuracy.")
+    Arg.(value & opt open_unit 0.1 & info [ "eps" ] ~doc:"Fallback accuracy.")
   in
   let delta =
     Arg.(
-      value & opt float 0.1
+      value & opt open_unit 0.1
       & info [ "delta" ] ~doc:"Fallback failure probability.")
   in
   let seed =

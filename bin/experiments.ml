@@ -196,7 +196,10 @@ let e5 () =
   let x = Q.one in
   let set = Paper_examples.arctan_epigraph x in
   let prng2 = Prng.create 5 in
-  let est = Volume_approx.approx_semialg ~prng:prng2 ~m:8000 set in
+  let est =
+    Approx_volume.estimate_random ~prng:prng2 ~dim:(Cqa_poly.Semialg.dim set) ~n:8000
+      (Cqa_poly.Semialg.mem set)
+  in
   pf "\narctan boundary case (semi-algebraic, Section 2): VOL_I at x = 1 is \
       atan(1) = %.5f; sampling gives %.5f (the exact sweep applies only to \
       the semi-linear fragment, as Theorem 3 states).\n"
@@ -245,7 +248,7 @@ let e7 () =
   pf "| eps | delta | sample M | trials | worst sup-error | within eps |\n|---|---|---|---|---|---|\n";
   List.iter
     (fun (eps, delta) ->
-      let m = Volume_approx.sample_size_for ~eps ~delta ~vc_dim:2 in
+      let m = Bounds.blumer_sample_size ~eps ~delta ~vc_dim:2 in
       let trials = 5 in
       let ok = ref 0 and worst = ref 0.0 in
       for seed = 1 to trials do

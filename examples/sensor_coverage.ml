@@ -11,7 +11,6 @@
 open Cqa_arith
 open Cqa_poly
 open Cqa_vc
-open Cqa_core
 
 let qq = Q.of_ints
 
@@ -31,14 +30,14 @@ let () =
   let eps = 0.03 and delta = 0.1 in
   (* VC dimension of unions of 4 disks in the plane is bounded by a small
      constant; 12 is a safe over-estimate and only costs sample size *)
-  let m = Volume_approx.sample_size_for ~eps ~delta ~vc_dim:12 in
+  let m = Bounds.blumer_sample_size ~eps ~delta ~vc_dim:12 in
   Format.printf
     "Theorem 4 sampling: eps = %g, delta = %g, VC bound 12 -> M = %d points@."
     eps delta m;
 
   (* one shared sample, drawn once by the witness operator *)
   let prng = Prng.create 2026 in
-  let sample = Approx_volume.random_sample ~prng ~dim:2 ~n:m in
+  let sample = Approx_volume.sample_points ~prng ~dim:2 m in
 
   Format.printf "@.coverage as the sensor power (radius scale) varies:@.";
   Format.printf "| scale | estimated covered fraction |@.";
@@ -54,14 +53,14 @@ let () =
   let c = coverage Q.one in
   let est = Approx_volume.fraction_in sample (Semialg.mem c) in
   let fresh = Prng.create 9999 in
-  let big = Approx_volume.random_sample ~prng:fresh ~dim:2 ~n:(4 * m) in
+  let big = Approx_volume.sample_points ~prng:fresh ~dim:2 (4 * m) in
   let est2 = Approx_volume.fraction_in big (Semialg.mem c) in
   Format.printf "@.scale 1: shared-sample %.4f vs independent 4M-sample %.4f (|diff| = %.4f < 2 eps)@."
     (Q.to_float est) (Q.to_float est2)
     (abs_float (Q.to_float est -. Q.to_float est2));
 
   (* the derandomized stand-in: a Halton sample, fully deterministic *)
-  let h = Approx_volume.halton_sample ~dim:2 ~n:m in
+  let h = Approx_volume.halton_sample ~dim:2 m in
   Format.printf "Halton (derandomized) estimate at scale 1: %.4f@."
     (Q.to_float (Approx_volume.fraction_in h (Semialg.mem c)));
 

@@ -1,13 +1,10 @@
-(* Deterministic fork/join helpers for the exact-volume engine (mirrors
-   the conventions of Cqa_vc.Approx_volume): work is split into contiguous
-   index chunks, results are reassembled in slot order, so the output never
-   depends on domain scheduling.  Since the pool rewrite the chunks run on
-   Cqa_conc.Pool's persistent workers — no Domain.spawn per call — and its
-   adaptive cutoff may run them inline on the caller; both execute the
-   identical decomposition, so the value is a function of [~domains]
-   alone. *)
-
-module Pool = Cqa_conc.Pool
+(* Deterministic fork/join helpers shared by the exact-volume engine and
+   the sampler: work is split into contiguous index chunks, results are
+   reassembled in slot order, so the output never depends on domain
+   scheduling.  The chunks run on Pool's persistent workers — no
+   Domain.spawn per call — and its adaptive cutoff may run them inline on
+   the caller; both execute the identical decomposition, so the value is a
+   function of [~domains] alone. *)
 
 let clamp_domains ~n domains =
   let d = Stdlib.max 1 domains in

@@ -1,8 +1,8 @@
-(** Deterministic fork/join for the exact-volume engine: contiguous index
-    chunks, slot-order reassembly, exceptions re-raised in index order
-    after all chunks complete.  With exact rational arithmetic the chunked
-    reductions are value-identical to their sequential counterparts,
-    whatever the domain count.
+(** Deterministic fork/join for the exact-volume engine and the sampler:
+    contiguous index chunks, slot-order reassembly, exceptions re-raised in
+    index order after all chunks complete.  With exact rational arithmetic
+    the chunked reductions are value-identical to their sequential
+    counterparts, whatever the domain count.
 
     Chunks execute on {!Pool}'s persistent workers — never a fresh
     [Domain.spawn] per call — and when the pool's adaptive cutoff would

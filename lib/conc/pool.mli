@@ -2,7 +2,7 @@
 
     One process-wide pool of worker domains, started lazily on the first
     parallel batch and reused for every subsequent one, so callers such as
-    {!Cqa_core.Par} and [Cqa_vc.Approx_volume] never pay a [Domain.spawn]
+    {!Par} and [Cqa_vc.Approx_volume] never pay a [Domain.spawn]
     per invocation (the telemetry counter [pool.domains.spawned] stays
     constant once the pool is warm).  Each worker owns a deque; a batch's
     chunks are dealt round-robin to the worker lanes {e at submit time}, so

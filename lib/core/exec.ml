@@ -2,6 +2,7 @@ open Cqa_arith
 open Cqa_logic
 open Cqa_linear
 module T = Cqa_telemetry.Telemetry
+module Par = Cqa_conc.Par
 
 (* All plan.* and exec.* counters depend on cache and per-database state,
    hence on execution history; they are exempt from the determinism
@@ -415,10 +416,9 @@ let memo_q p slot_get slot_set compute =
               v)
 
 (* In dimension >= 2 the volume is the integral of the Lemma 5 piece
-   list, which is built by the very sweep [Volume_exact.volume] runs
-   (same breakpoints, same interpolation samples, same exact
-   integration), so the value is byte-identical to the direct sweep --
-   and the pieces stay behind for incremental refresh after updates. *)
+   list, which [Volume_exact.section_pieces] builds exactly as the direct
+   sweep does, and the pieces stay behind for incremental refresh after
+   updates. *)
 let volume ?(domains = 1) p db =
   no_params "Exec.volume" p;
   let st = sync ~domains p db in
@@ -496,15 +496,13 @@ let volume_at ?(domains = 1) p db qs =
         Volume_exact.volume ~domains (section_at s qs)
   end
 
-let batch ?domains p db bindings = List.map (volume_at ?domains p db) bindings
-
 (* Batched execution with the parallelism turned sideways: one binding per
    work item across the pool, each evaluated sequentially, instead of one
    binding at a time with parallel internals.  The shared state (set,
    Lemma 5 polynomial) is warmed once before the fan-out so the workers
    only read it; values are the same exact rationals [volume_at] computes,
    and the chunk decomposition derives from [~domains] alone, so results
-   are byte-identical to the sequential [batch] whatever the pool does. *)
+   are byte-identical for every domain count whatever the pool does. *)
 let volume_batch ?(domains = 1) p db bindings =
   match bindings with
   | [] -> []
@@ -535,13 +533,12 @@ let volume_batch ?(domains = 1) p db bindings =
    sample: points and membership bitmap are cached per database keyed on
    (eps, delta, seed, domains), so a warm call is a bitmap popcount and
    an updated database only re-tests the points its deltas touch.  The
-   drawn points are exactly [Volume_exact.sampler_estimate]'s for the
-   same key, so the value matches the one-shot estimator bit for bit. *)
+   size and the draw are [Volume_exact.sampler_estimate]'s own, so the
+   value matches the one-shot estimator bit for bit. *)
 let sampled_estimate ~domains ~eps ~delta ~seed p db =
   let st = state p db in
   let coords = Plan.coords p in
-  let vc_dim = Array.length coords + 2 in
-  let m = Cqa_vc.Bounds.blumer_sample_size ~eps ~delta ~vc_dim in
+  let m = Volume_exact.sampler_size ~eps ~delta coords in
   let key_eq sm =
     sm.sm_eps = eps && sm.sm_delta = delta && sm.sm_seed = seed
     && sm.sm_domains = domains
@@ -561,13 +558,8 @@ let sampled_estimate ~domains ~eps ~delta ~seed p db =
     match cached with
     | Some sm -> sm.sm_bits
     | None ->
-        let dim = Array.length coords in
-        let prng = Cqa_vc.Prng.create seed in
-        let pts = Cqa_vc.Approx_volume.sample_points ~domains ~prng ~dim m in
-        let bits =
-          Cqa_vc.Approx_volume.score_sample
-            (Volume_approx.member db coords (Plan.normal p))
-            pts
+        let pts, bits =
+          Volume_exact.sampler_draw ~domains ~seed ~m db coords (Plan.normal p)
         in
         let sm =
           {

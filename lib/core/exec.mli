@@ -55,18 +55,14 @@ val volume_at : ?domains:int -> Plan.t -> Db.t -> Q.t array -> Q.t
     @raise Invalid_argument when the binding arity differs from the
     plan's parameter count. *)
 
-val batch : ?domains:int -> Plan.t -> Db.t -> Q.t array list -> Q.t list
-(** [volume_at] over a list of bindings, sharing one warm state: the set
-    is evaluated and the parametric function compiled at most once.
-    [domains] parallelizes {e inside} each binding's evaluation. *)
-
 val volume_batch : ?domains:int -> Plan.t -> Db.t -> Q.t array list -> Q.t list
-(** Like {!batch} but parallel {e across} bindings: the shared per-database
-    state is warmed once, then the bindings are dealt to the pool as one
+(** {!volume_at} over a list of bindings, sharing one warm state (the set
+    is evaluated and the parametric function compiled at most once) and
+    parallel {e across} bindings: the bindings are dealt to the pool as one
     submission ([domains] chunks, each binding evaluated sequentially) with
     slot-order reassembly.  This is the shape a serving layer wants — many
     small same-plan requests coalesced into one pool batch — and it returns
-    exactly {!batch}'s values (exact rationals, chunking-invariant).
+    exactly [volume_at]'s values (exact rationals, chunking-invariant).
     @raise Volume_exact.Not_semilinear outside the exact fragment.
     @raise Invalid_argument on a binding arity mismatch. *)
 

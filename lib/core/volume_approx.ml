@@ -1,23 +1,5 @@
-open Cqa_arith
 open Cqa_logic
-open Cqa_poly
 open Cqa_vc
-
-type result = {
-  estimate : Q.t;
-  sample_size : int;
-}
-
-let sample_size_for ~eps ~delta ~vc_dim =
-  Bounds.blumer_sample_size ~eps ~delta ~vc_dim
-
-let approx_semialg ?(domains = 1) ~prng ~m s =
-  let dim = Semialg.dim s in
-  Approx_volume.estimate_random ~domains ~prng ~dim ~n:m (Semialg.mem s)
-
-let approx_semialg_eps ?(domains = 1) ~prng ~eps ~delta ~vc_dim s =
-  let m = sample_size_for ~eps ~delta ~vc_dim in
-  { estimate = approx_semialg ~domains ~prng ~m s; sample_size = m }
 
 let env_of vars pt =
   let env = ref Var.Map.empty in
@@ -27,11 +9,11 @@ let env_of vars pt =
 let member db yvars f pt =
   Eval.holds db (env_of yvars pt) f
 
-let approx_query ?(domains = 1) ~prng ~m db ~yvars f =
+let approx_query ?domains ~prng ~m db ~yvars f =
   let dim = Array.length yvars in
-  Approx_volume.estimate_random ~domains ~prng ~dim ~n:m (member db yvars f)
+  Approx_volume.estimate_random ?domains ~prng ~dim ~n:m (member db yvars f)
 
-let approx_query_family ?(domains = 1) ~prng ~m db ~xvars ~yvars f ~params =
+let approx_query_family ?domains ~prng ~m db ~xvars ~yvars f ~params =
   let dim = Array.length yvars in
   (* staged so the parameter environment is built once per parameter, not
      once per membership test *)
@@ -45,8 +27,4 @@ let approx_query_family ?(domains = 1) ~prng ~m db ~xvars ~yvars f ~params =
       in
       Eval.holds db env f
   in
-  Approx_volume.estimate_family_random ~domains ~prng ~dim ~n:m ~mem params
-
-let halton_approx_query ?(domains = 1) ~m db ~yvars f =
-  let dim = Array.length yvars in
-  Approx_volume.estimate_halton ~domains ~dim ~n:m (member db yvars f)
+  Approx_volume.estimate_family_random ?domains ~prng ~dim ~n:m ~mem params

@@ -1,41 +1,23 @@
-(** Probabilistic approximation of volumes (Theorem 4): an FO + POLY + SUM +
-    W query draws a single sample of [M = max (4/eps log 2/delta, C log|D| /
-    eps log 13/eps)] points with the witness operator and reports, for every
-    parameter tuple simultaneously, the fraction of the sample falling in
-    the section -- within [eps] of the true volume with probability [1 -
-    delta], uniformly in the parameters.
+(** Probabilistic approximation of query volumes (Theorem 4): an FO + POLY
+    + SUM + W query draws a single sample of [M = max (4/eps log 2/delta,
+    C log|D| / eps log 13/eps)] points with the witness operator and
+    reports, for every parameter tuple simultaneously, the fraction of the
+    sample falling in the section -- within [eps] of the true volume with
+    probability [1 - delta], uniformly in the parameters.
 
-    Every estimator takes an optional [?domains] argument (default [1]):
-    with more than one domain the sample is generated and scored in
-    parallel chunks, each chunk's PRNG split deterministically from the
-    caller's generator, so runs are reproducible for a fixed seed and
-    domain count.  [domains = 1] is exactly the sequential path. *)
+    This module only builds [Eval]'s environments for the membership
+    oracle; sampling, scoring and the sample size are
+    {!Cqa_vc.Approx_volume} and {!Cqa_vc.Bounds}.  [?domains] (default
+    [1]) is passed through: runs are reproducible for a fixed seed and
+    domain count. *)
 
 open Cqa_arith
 open Cqa_logic
-open Cqa_poly
 open Cqa_vc
 
-type result = {
-  estimate : Q.t;
-  sample_size : int;
-}
-
-val sample_size_for : eps:float -> delta:float -> vc_dim:int -> int
-(** The BEHW bound used throughout. *)
-
-val approx_semialg : ?domains:int -> prng:Prng.t -> m:int -> Semialg.t -> Q.t
-(** Fraction of [m] uniform unit-cube points inside the set: estimates
-    [VOL_I]. *)
-
-val approx_semialg_eps :
-  ?domains:int ->
-  prng:Prng.t ->
-  eps:float ->
-  delta:float ->
-  vc_dim:int ->
-  Semialg.t ->
-  result
+val member : Db.t -> Var.t array -> Ast.formula -> Q.t array -> bool
+(** The pointwise membership oracle every estimator scores with:
+    [Eval.holds] of the formula with [yvars] bound to the point. *)
 
 val approx_query :
   ?domains:int ->
@@ -59,12 +41,3 @@ val approx_query_family :
   (Q.t array * Q.t) list
 (** The uniform-over-parameters shape of Theorem 4: one shared sample scored
     against [phi (a, .)] for every [a] in [params]. *)
-
-val halton_approx_query :
-  ?domains:int -> m:int -> Db.t -> yvars:Var.t array -> Ast.formula -> Q.t
-(** Deterministic low-discrepancy variant (the derandomized stand-in); the
-    exact result is independent of the domain count. *)
-
-val member : Db.t -> Var.t array -> Ast.formula -> Q.t array -> bool
-(** The pointwise membership oracle every estimator scores with:
-    [Eval.holds] of the formula with [yvars] bound to the point. *)

@@ -3,6 +3,7 @@ open Cqa_linear
 open Cqa_poly
 open Cqa_geom
 module T = Cqa_telemetry.Telemetry
+module Par = Cqa_conc.Par
 
 (* Telemetry probes (zero-cost while disabled).  Counters are bumped from
    worker domains during parallel sweeps; they are atomic, and their totals
@@ -257,11 +258,22 @@ let breakpoints_since ~old_set ~old_bps s =
             end
           end
 
-(* The sweep of the paper's Theorem 3 proof.  [?domains] parallelizes the
-   interpolation-sample sections of the top-level sweep only (recursive
-   sections run sequentially inside their domain); the sample values are
-   reassembled in slot order and combined by exact rational arithmetic, so
-   the result is byte-identical for every domain count. *)
+type piece = { lo : Q.t; hi : Q.t; poly : Upoly.t }
+
+let integrate pieces =
+  List.fold_left
+    (fun acc p -> Q.add acc (Upoly.integrate p.poly p.lo p.hi))
+    Q.zero pieces
+
+(* The sweep of the paper's Theorem 3 proof.  On each open piece (a, b)
+   between consecutive breakpoints the section measure is a polynomial of
+   degree < n (Lemma 5): [section_pieces] recovers it by interpolation at
+   the n interior points a + (j + 1) (b - a) / (n + 1), and the sweep
+   integrates the pieces in closed form.  [?domains] parallelizes the
+   sections of the top-level call only (recursive sections run
+   sequentially inside their domain); the sample values are reassembled
+   in slot order and combined by exact rational arithmetic, so the result
+   is byte-identical for every domain count. *)
 let rec volume_sweep_pruned ?(domains = 1) s =
   let n = Semilinear.dim s in
   if Semilinear.dnf s = [] then Q.zero
@@ -275,48 +287,58 @@ let rec volume_sweep_pruned ?(domains = 1) s =
   else begin
     T.incr tm_sweep_calls;
     let bps = breakpoints_pruned s in
-    if T.enabled () then T.add tm_breakpoints (List.length bps);
-    (* the section measure is a polynomial of degree < n on each open piece
-       (a, b): recover it by interpolation at n interior points *)
-    let rec collect acc = function
-      | a :: (b :: _ as rest) ->
-          let width = Q.sub b a in
-          if Q.sign width <= 0 then collect acc rest
-          else begin
-            let samples =
-              List.init n (fun j ->
-                  let frac = Q.of_ints (j + 1) (n + 1) in
-                  Q.add a (Q.mul width frac))
-            in
-            collect ((a, b, samples) :: acc) rest
-          end
-      | _ -> List.rev acc
-    in
-    let pieces = collect [] bps in
-    let all_samples =
-      Array.of_list (List.concat_map (fun (_, _, samples) -> samples) pieces)
-    in
+    let pieces = section_pieces ~domains s bps in
     if T.enabled () then begin
+      T.add tm_breakpoints (List.length bps);
       T.add tm_sweep_cells (List.length pieces);
-      T.add tm_sweep_sections (Array.length all_samples)
+      T.add tm_sweep_sections (n * List.length pieces)
     end;
-    let h t = volume_sweep_pruned (prune (Semilinear.section_last s t)) in
-    let values = Par.map ~label:"volume.sweep" ~domains h all_samples in
-    let pos = ref 0 in
-    List.fold_left
-      (fun acc (a, b, samples) ->
-        let pts =
-          List.map
-            (fun t ->
-              let v = values.(!pos) in
-              incr pos;
-              (t, v))
-            samples
-        in
-        let p = Upoly.interpolate pts in
-        Q.add acc (Upoly.integrate p a b))
-      Q.zero pieces
+    integrate pieces
   end
+
+(* Every interval [reuse] declines is interpolated; all their sections go
+   to the pool as one batch. *)
+and section_pieces ?(domains = 1) ?(reuse = fun _ _ -> None) s bps =
+  let n = Semilinear.dim s in
+  let rec collect acc = function
+    | a :: (b :: _ as rest) when Q.lt a b ->
+        let piece =
+          match reuse a b with
+          | Some poly -> `Old poly
+          | None ->
+              let width = Q.sub b a in
+              `New
+                (List.init n (fun j ->
+                     Q.add a (Q.mul width (Q.of_ints (j + 1) (n + 1)))))
+        in
+        collect ((a, b, piece) :: acc) rest
+    | _ :: rest -> collect acc rest
+    | [] -> List.rev acc
+  in
+  let pieces = collect [] bps in
+  let samples =
+    pieces
+    |> List.concat_map (function _, _, `New ts -> ts | _, _, `Old _ -> [])
+    |> Array.of_list
+  in
+  let h t = volume_sweep_pruned (prune (Semilinear.section_last s t)) in
+  let values = Par.map ~label:"volume.sweep" ~domains h samples in
+  let pos = ref 0 in
+  List.map
+    (fun (lo, hi, piece) ->
+      match piece with
+      | `Old poly -> { lo; hi; poly }
+      | `New ts ->
+          let pts =
+            List.map
+              (fun t ->
+                let v = values.(!pos) in
+                incr pos;
+                (t, v))
+              ts
+          in
+          { lo; hi; poly = Upoly.interpolate pts })
+    pieces
 
 let volume_sweep ?domains s = volume_sweep_pruned ?domains (prune s)
 
@@ -406,13 +428,21 @@ let pp_engine fmt = function
   | Approx_engine { sample_size } ->
       Format.fprintf fmt "approx (Theorem 4 sampling, M = %d)" sample_size
 
-(* The one-shot Theorem 4 estimator: a Blumer-sized sample for the section
-   family's VC dimension, drawn from a fresh seeded PRNG so a given seed
-   always yields the same estimate.  [Exec]'s retained samples draw the
-   same points, so this is their reference. *)
-let sampler_estimate ?(domains = 1) ~eps ~delta ~seed db coords f =
-  let vc_dim = Array.length coords + 2 in
-  let m = Cqa_vc.Bounds.blumer_sample_size ~eps ~delta ~vc_dim in
+(* The Theorem 4 sample of a query: [M] for the section family's VC
+   dimension [dim + 2], drawn from a PRNG freshly seeded with [seed] and
+   scored against the query.  The one-shot estimator and [Exec]'s retained
+   samples both go through these two functions, so they agree bit for
+   bit. *)
+let sampler_size ~eps ~delta coords =
+  Cqa_vc.Bounds.blumer_sample_size ~eps ~delta ~vc_dim:(Array.length coords + 2)
+
+let sampler_draw ?(domains = 1) ~seed ~m db coords f =
   let prng = Cqa_vc.Prng.create seed in
-  let value = Volume_approx.approx_query ~domains ~prng ~m db ~yvars:coords f in
-  (value, m)
+  let dim = Array.length coords in
+  let pts = Cqa_vc.Approx_volume.sample_points ~domains ~prng ~dim m in
+  (pts, Cqa_vc.Approx_volume.score ~domains (Volume_approx.member db coords f) pts)
+
+let sampler_estimate ?domains ~eps ~delta ~seed db coords f =
+  let m = sampler_size ~eps ~delta coords in
+  let _, bits = sampler_draw ?domains ~seed ~m db coords f in
+  (Cqa_vc.Approx_volume.fraction_of_bits bits, m)

@@ -8,9 +8,9 @@
       degree below the dimension; its breakpoints are among the last
       coordinates of the vertices of the hyperplane arrangement, the
       polynomial pieces are recovered by exact interpolation at rational
-      sample points, and the pieces are integrated in closed form (the
-      paper's "sum over quadruples (l, u, m, b)" in dimension 2 is the
-      degree-1 case);
+      sample points ({!section_pieces}), and the pieces are integrated in
+      closed form (the paper's "sum over quadruples (l, u, m, b)" in
+      dimension 2 is the degree-1 case);
     - [volume_incl_excl] decomposes the DNF by inclusion-exclusion into
       intersections of convex polytopes and evaluates each with Lasserre's
       recursion. *)
@@ -18,8 +18,38 @@
 open Cqa_arith
 open Cqa_logic
 open Cqa_linear
+open Cqa_poly
 
 exception Unbounded
+
+(** {1 Lemma 5 pieces} *)
+
+type piece = {
+  lo : Q.t;
+  hi : Q.t;
+  poly : Upoly.t;  (** the section volume on the open interval (lo, hi) *)
+}
+
+val section_pieces :
+  ?domains:int ->
+  ?reuse:(Q.t -> Q.t -> Upoly.t option) ->
+  Semilinear.t ->
+  Q.t list ->
+  piece list
+(** [section_pieces s bps]: the section volume [t -> vol (section_last s
+    t)] on each open interval [(a, b)] between consecutive breakpoints of
+    [bps] (normally {!breakpoints}[ s]), recovered by exact interpolation
+    at the [dim s] interior points [a + (j + 1) (b - a) / (dim s + 1)].
+    An interval for which [reuse a b] returns a polynomial keeps it and
+    costs no section.  The sections are one parallel batch over
+    [?domains] (default 1); the result is identical for every domain
+    count.  The single builder behind {!volume_sweep} and
+    {!Volume_param}. *)
+
+val integrate : piece list -> Q.t
+(** Sum of the closed-form integrals of the pieces. *)
+
+(** {1 Volumes} *)
 
 val volume_sweep : ?domains:int -> Semilinear.t -> Q.t
 (** [?domains] (default 1) spreads the top-level interpolation sections
@@ -76,6 +106,23 @@ type guarded = {
 
 val pp_engine : Format.formatter -> engine -> unit
 
+val sampler_size : eps:float -> delta:float -> Var.t array -> int
+(** The Blumer sample size [M] for a query over these coordinates: VC
+    dimension [dim + 2].
+    @raise Invalid_argument unless [eps] and [delta] lie in (0, 1). *)
+
+val sampler_draw :
+  ?domains:int ->
+  seed:int ->
+  m:int ->
+  Db.t ->
+  Var.t array ->
+  Ast.formula ->
+  Q.t array array * Bytes.t
+(** The [m] points {!Cqa_vc.Approx_volume.sample_points} draws from a
+    PRNG freshly seeded with [seed], and their membership bitmap for the
+    query. *)
+
 val sampler_estimate :
   ?domains:int ->
   eps:float ->
@@ -88,8 +135,9 @@ val sampler_estimate :
 (** The Theorem 4 sampling estimator: a Blumer-sized sample (for VC
     dimension [dim + 2]) of the clamped section set, from a PRNG freshly
     seeded with [seed].  Returns the estimate and the sample size used.
-    {!Exec.volume_guarded}'s fallback draws the same points from a
-    retained sample, so the two are bit-identical for equal seeds. *)
+    {!Exec.volume_guarded}'s fallback retains the points and bitmap of
+    the same {!sampler_size} and {!sampler_draw}, so the two are
+    bit-identical for equal seeds. *)
 
 val arrangement_vertices : Semilinear.t -> Q.t array list
 (** All 0-dimensional intersections of [dim]-subsets of the constraint

@@ -2,138 +2,59 @@ open Cqa_arith
 open Cqa_linear
 open Cqa_poly
 
-type piece = { lo : Q.t; hi : Q.t; poly : Upoly.t }
+type piece = Volume_exact.piece = { lo : Q.t; hi : Q.t; poly : Upoly.t }
 
 type t = piece list
 
-let section_volume_function ?(domains = 1) s =
-  let n = Semilinear.dim s in
-  if n < 2 then invalid_arg "Volume_param.section_volume_function: dim < 2";
-  let bps = Volume_exact.breakpoints s in
-  let h t = Volume_exact.volume_sweep (Semilinear.section_last s t) in
-  (* collect every piece's interpolation samples, evaluate the sections in
-     one deterministic parallel batch, then rebuild the pieces in order *)
-  let rec collect acc = function
-    | a :: (b :: _ as rest) ->
-        if Q.geq a b then collect acc rest
-        else begin
-          let width = Q.sub b a in
-          let samples =
-            List.init n (fun j ->
-                Q.add a (Q.mul width (Q.of_ints (j + 1) (n + 1))))
-          in
-          collect ((a, b, samples) :: acc) rest
-        end
-    | _ -> List.rev acc
-  in
-  let pieces = collect [] bps in
-  let all_samples =
-    Array.of_list (List.concat_map (fun (_, _, samples) -> samples) pieces)
-  in
-  let values = Par.map ~label:"volume.param" ~domains h all_samples in
-  let pos = ref 0 in
-  List.map
-    (fun (a, b, samples) ->
-      let pts =
-        List.map
-          (fun t ->
-            let v = values.(!pos) in
-            incr pos;
-            (t, v))
-          samples
-      in
-      { lo = a; hi = b; poly = Upoly.interpolate pts })
-    pieces
+let section_volume_function ?domains s =
+  if Semilinear.dim s < 2 then
+    invalid_arg "Volume_param.section_volume_function: dim < 2";
+  Volume_exact.section_pieces ?domains s (Volume_exact.breakpoints s)
 
 (* Incremental rebuild after a database update.  When the predecessor set
    is known the breakpoint partition is maintained incrementally
    ({!Volume_exact.breakpoints_since}); a new piece's polynomial is then
-   only re-interpolated when the
-   piece is [dirty] (its interval meets the delta slab) or falls outside
-   the old pieces' coverage; everywhere else the sections — and hence the
-   measure function — are unchanged, so any old piece overlapping the new
-   interval carries the {e same} polynomial (two polynomials of degree
-   below [n] agreeing on an interval of positive length are equal, and
-   interpolation is canonical), making the reused piece byte-identical to
-   a cold recomputation. *)
-let refresh ?(domains = 1) ?old_set ~old ~dirty s =
-  let n = Semilinear.dim s in
-  if n < 2 then invalid_arg "Volume_param.refresh: dim < 2";
+   only re-interpolated when the piece is [dirty] (its interval meets the
+   delta slab) or falls outside the old pieces' coverage; everywhere else
+   the sections — and hence the measure function — are unchanged, so any
+   old piece overlapping the new interval carries the {e same} polynomial
+   (two polynomials of degree below [n] agreeing on an interval of
+   positive length are equal, and interpolation is canonical), making the
+   reused piece byte-identical to a cold recomputation. *)
+let refresh ?domains ?old_set ~old ~dirty s =
+  if Semilinear.dim s < 2 then invalid_arg "Volume_param.refresh: dim < 2";
   let bps =
     match (old_set, old) with
-    | Some os, _ :: _ ->
+    | Some os, first :: _ ->
         (* the old pieces are contiguous, so their boundaries are exactly
            the predecessor's breakpoint list *)
-        let old_bps =
-          (List.hd old).lo :: List.map (fun p -> p.hi) old
-        in
+        let old_bps = first.lo :: List.map (fun p -> p.hi) old in
         Volume_exact.breakpoints_since ~old_set:os ~old_bps s
     | _ -> Volume_exact.breakpoints s
   in
-  let h t = Volume_exact.volume_sweep (Semilinear.section_last s t) in
   let coverage =
-    match old with
-    | [] -> None
-    | first :: _ ->
-        let rec last = function [ p ] -> p | _ :: r -> last r | [] -> first in
-        Some (first.lo, (last old).hi)
+    match (old, List.rev old) with
+    | first :: _, last :: _ -> Some (first.lo, last.hi)
+    | _ -> None
   in
-  let reuse_poly a b =
-    if dirty a b then None
-    else
-      match coverage with
-      | Some (clo, chi) when Q.leq clo a && Q.leq b chi ->
-          (* old pieces are consecutive: any piece with positive-length
-             overlap determines the polynomial on (a, b) *)
-          List.find_opt (fun p -> Q.lt p.lo b && Q.lt a p.hi) old
-          |> Option.map (fun p -> p.poly)
-      | _ -> None
-  in
-  let rec collect acc = function
-    | a :: (b :: _ as rest) ->
-        if Q.geq a b then collect acc rest
-        else begin
-          match reuse_poly a b with
-          | Some poly -> collect (`Old (a, b, poly) :: acc) rest
-          | None ->
-              let width = Q.sub b a in
-              let samples =
-                List.init n (fun j ->
-                    Q.add a (Q.mul width (Q.of_ints (j + 1) (n + 1))))
-              in
-              collect (`New (a, b, samples) :: acc) rest
-        end
-    | _ -> List.rev acc
-  in
-  let pieces = collect [] bps in
-  let all_samples =
-    pieces
-    |> List.concat_map (function `New (_, _, s) -> s | `Old _ -> [])
-    |> Array.of_list
-  in
-  let values = Par.map ~label:"volume.refresh" ~domains h all_samples in
-  let pos = ref 0 in
   let recomputed = ref 0 and reused = ref 0 in
-  let out =
-    List.map
-      (function
-        | `Old (a, b, poly) ->
-            incr reused;
-            { lo = a; hi = b; poly }
-        | `New (a, b, samples) ->
-            incr recomputed;
-            let pts =
-              List.map
-                (fun t ->
-                  let v = values.(!pos) in
-                  incr pos;
-                  (t, v))
-                samples
-            in
-            { lo = a; hi = b; poly = Upoly.interpolate pts })
-      pieces
+  let reuse a b =
+    let poly =
+      if dirty a b then None
+      else
+        match coverage with
+        | Some (clo, chi) when Q.leq clo a && Q.leq b chi ->
+            (* old pieces are consecutive: any piece with positive-length
+               overlap determines the polynomial on (a, b) *)
+            List.find_opt (fun p -> Q.lt p.lo b && Q.lt a p.hi) old
+            |> Option.map (fun p -> p.poly)
+        | _ -> None
+    in
+    incr (if poly = None then recomputed else reused);
+    poly
   in
-  (out, !recomputed, !reused)
+  let pieces = Volume_exact.section_pieces ?domains ~reuse s bps in
+  (pieces, !recomputed, !reused)
 
 let eval t x =
   let rec go = function
@@ -143,8 +64,7 @@ let eval t x =
   in
   go t
 
-let integrate t =
-  List.fold_left (fun acc p -> Q.add acc (Upoly.integrate p.poly p.lo p.hi)) Q.zero t
+let integrate = Volume_exact.integrate
 
 let degree t = List.fold_left (fun acc p -> max acc (Upoly.degree p.poly)) 0 t
 

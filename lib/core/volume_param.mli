@@ -9,13 +9,14 @@
 
     The representation here is exact: breakpoints come from the vertices of
     the constraint arrangement and each polynomial piece is recovered by
-    interpolation at rational sample points, as in {!Volume_exact}. *)
+    interpolation at rational sample points, by the same
+    {!Volume_exact.section_pieces} the sweep integrates. *)
 
 open Cqa_arith
 open Cqa_linear
 open Cqa_poly
 
-type piece = {
+type piece = Volume_exact.piece = {
   lo : Q.t;
   hi : Q.t;
   poly : Upoly.t;  (** the section volume on the open interval (lo, hi) *)
@@ -49,7 +50,8 @@ val refresh :
     [(pieces, recomputed, reused)].  Because the section volumes outside
     the delta slab are unchanged and polynomials of degree below [n]
     agreeing on an interval are equal, the result is byte-identical to a
-    cold {!section_volume_function} on [s].
+    cold {!section_volume_function} on [s]: both are
+    {!Volume_exact.section_pieces}, this one with a reuse callback.
     @raise Volume_exact.Unbounded on unbounded sets.
     @raise Invalid_argument in dimension < 2. *)
 

@@ -27,6 +27,8 @@ type vol_opts = {
   seed : int option;
 }
 
+let max_sample_points = 1_000_000
+
 let default_opts =
   { budget = None; admission = None; eps = None; delta = None; seed = None }
 

@@ -38,7 +38,10 @@
     ["U:1,P:2"]), ["params"] (parameter-slot variable names, array of
     strings), ["budget"] (admission budget override), ["admission"]
     (["degrade"] or ["reject"]), and the sampler knobs ["eps"], ["delta"],
-    ["seed"] used when a request degrades.  Rational values — parameter
+    ["seed"] used when a request degrades.  A degrading request answers
+    [bad-args] when ["eps"] or ["delta"] lies outside (0, 1), or when its
+    Blumer sample size exceeds {!max_sample_points}; the size is checked
+    before any point is drawn.  Rational values — parameter
     bindings in, volumes out — travel as ["p/q"] strings; integer-valued
     JSON numbers are accepted in bindings (non-integers are read as their
     exact dyadic value).
@@ -72,6 +75,10 @@ type vol_opts = {
 }
 
 val default_opts : vol_opts
+
+val max_sample_points : int
+(** Ceiling on the sample a degraded request may draw: [1_000_000]
+    points.  At the default [eps = delta = 0.1] a 2-D query draws 2249. *)
 
 type request =
   | Ping

@@ -484,15 +484,32 @@ let admit st conn rid ~op p db ~args_arity opts k_exact =
               let eps = Option.value opts.P.eps ~default:0.1 in
               let delta = Option.value opts.P.delta ~default:0.1 in
               let seed = Option.value opts.P.seed ~default:1 in
-              enqueue st
-                {
-                  jconn = conn;
-                  jrid = rid;
-                  jplan = p;
-                  jdb = db;
-                  jkind = K_degrade { eps; delta; seed; budget };
-                  arrival_ns = T.now_ns ();
-                }
+              let bad_args msg =
+                respond_err conn (P.error ?rid ~op ~code:"bad-args" msg)
+              in
+              let in_unit x = x > 0. && x < 1. in
+              if not (in_unit eps && in_unit delta) then
+                bad_args
+                  (Printf.sprintf "eps %g and delta %g must lie in (0, 1)" eps
+                     delta)
+              else
+                let m = Volume_exact.sampler_size ~eps ~delta (Plan.coords p) in
+                if m > P.max_sample_points then
+                  bad_args
+                    (Printf.sprintf
+                       "eps %g and delta %g need %d sample points, above the \
+                        ceiling of %d"
+                       eps delta m P.max_sample_points)
+                else
+                  enqueue st
+                    {
+                      jconn = conn;
+                      jrid = rid;
+                      jplan = p;
+                      jdb = db;
+                      jkind = K_degrade { eps; delta; seed; budget };
+                      arrival_ns = T.now_ns ();
+                    }
 
 (* ------------------------------------------------------------------ *)
 (* Database updates                                                    *)

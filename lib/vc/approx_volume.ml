@@ -1,217 +1,82 @@
 open Cqa_arith
 module T = Cqa_telemetry.Telemetry
+module Par = Cqa_conc.Par
 
 (* Telemetry probes (zero-cost while disabled): points drawn, membership
-   tests made and accepted (the acceptance rate is accepted/tests).  Under
-   domain-parallel estimation the counters are atomic; their totals for a
-   fixed (seed, n, domains) run are deterministic. *)
+   tests made and accepted (the acceptance rate is accepted/tests).  Every
+   tick happens on the calling domain after the chunks have joined, so the
+   totals for a fixed (seed, n, domains) run are deterministic. *)
 let tm_drawn = T.counter "vc.samples.drawn"
 let tm_tests = T.counter "vc.membership_tests"
 let tm_accepted = T.counter "vc.samples.accepted"
 let tm_estimates = T.counter "vc.estimates"
 
-type sample = Q.t array list
+type sample = Q.t array array
 
-let random_sample ~prng ~dim ~n =
-  if T.enabled () then T.add tm_drawn n;
-  List.init n (fun _ -> Array.init dim (fun _ -> Prng.q_unit prng))
+(* One pool batch over the contiguous chunks of an [n]-point sample:
+   [f i start size] for chunk [i], results in chunk order. *)
+let chunked ~label ~domains n f =
+  let k = Par.clamp_domains ~n domains in
+  let sizes = Par.chunk_sizes ~n ~chunks:k in
+  let starts = Par.chunk_starts sizes in
+  Par.map ~label ~domains:k (fun i -> f i starts.(i) sizes.(i)) (Array.init k Fun.id)
 
-let halton_sample ~dim ~n =
-  if T.enabled () then T.add tm_drawn n;
-  Halton.points ~dim n
+let concat_chunks = function [| c |] -> c | cs -> Array.concat (Array.to_list cs)
 
-let fraction_in sample mem =
-  match sample with
-  | [] -> invalid_arg "Approx_volume.fraction_in: empty sample"
-  | _ ->
-      let hits, total =
-        List.fold_left
-          (fun (h, t) pt -> ((if mem pt then h + 1 else h), t + 1))
-          (0, 0) sample
-      in
-      if T.enabled () then begin
-        T.incr tm_estimates;
-        T.add tm_tests total;
-        T.add tm_accepted hits
-      end;
-      Q.of_ints hits total
-
-let estimate ~sample ~mem = fraction_in sample mem
-
-let sample_size = Bounds.blumer_sample_size
-
-let estimate_family ~sample ~mem params =
-  List.map (fun a -> (a, fraction_in sample (mem a))) params
-
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel estimation                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The Blumer-sized sample sets of Theorem 4 run to tens of thousands of
-   membership tests; they are embarrassingly parallel.  The sample of [n]
-   points is split into [domains] chunks, each generated and scored as one
-   job on the persistent domain pool.  Chunk PRNGs are split
-   deterministically from the caller's generator in chunk order — before
-   anything is submitted — so a run is reproducible for a fixed seed and
-   domain count whatever the pool does (its adaptive cutoff may run the
-   same chunks inline; the decomposition, and hence the estimate, never
-   depends on that choice); [domains = 1] (the default) takes exactly the
-   sequential path of [random_sample] + [fraction_in]. *)
-
-module Pool = Cqa_conc.Pool
-
-let clamp_domains ~n domains =
-  let d = Stdlib.max 1 domains in
-  Stdlib.min d (Stdlib.max 1 n)
-
-(* first (n mod k) chunks carry the extra point *)
-let chunk_sizes ~n ~chunks =
-  let q = n / chunks and r = n mod chunks in
-  Array.init chunks (fun i -> if i < r then q + 1 else q)
-
-let count_hits_random ~prng ~dim ~n mem =
-  let hits = ref 0 in
-  for _ = 1 to n do
-    let pt = Array.init dim (fun _ -> Prng.q_unit prng) in
-    if mem pt then incr hits
-  done;
-  if T.enabled () then begin
-    T.add tm_drawn n;
-    T.add tm_tests n;
-    T.add tm_accepted !hits
-  end;
-  !hits
-
-let estimate_random ?(domains = 1) ~prng ~dim ~n mem =
-  if n <= 0 then invalid_arg "Approx_volume.estimate_random: empty sample";
-  let domains = clamp_domains ~n domains in
-  if domains = 1 then fraction_in (random_sample ~prng ~dim ~n) mem
-  else begin
-    let sizes = chunk_sizes ~n ~chunks:domains in
-    let prngs = Array.init domains (fun _ -> Prng.split prng) in
-    let hits = Array.make domains 0 in
-    Pool.run_chunks ~label:"vc.random" ~items:n domains (fun i ->
-        hits.(i) <- count_hits_random ~prng:prngs.(i) ~dim ~n:sizes.(i) mem);
-    T.incr tm_estimates;
-    Q.of_ints (Array.fold_left ( + ) 0 hits) n
-  end
-
-(* Halton points are indexed, so the sequence is partitioned into [domains]
-   contiguous index blocks: the estimate is the same rational for every
-   domain count, including 1. *)
-let estimate_halton ?(domains = 1) ~dim ~n mem =
-  if n <= 0 then invalid_arg "Approx_volume.estimate_halton: empty sample";
-  let domains = clamp_domains ~n domains in
-  if domains = 1 then fraction_in (halton_sample ~dim ~n) mem
-  else begin
-    let sizes = chunk_sizes ~n ~chunks:domains in
-    let starts = Array.make domains 1 in
-    for i = 1 to domains - 1 do
-      starts.(i) <- starts.(i - 1) + sizes.(i - 1)
-    done;
-    let hits = Array.make domains 0 in
-    Pool.run_chunks ~label:"vc.halton" ~items:n domains (fun i ->
-        let h = ref 0 in
-        for j = starts.(i) to starts.(i) + sizes.(i) - 1 do
-          if mem (Halton.point ~dim j) then incr h
-        done;
-        if T.enabled () then begin
-          T.add tm_drawn sizes.(i);
-          T.add tm_tests sizes.(i);
-          T.add tm_accepted !h
-        end;
-        hits.(i) <- !h);
-    T.incr tm_estimates;
-    Q.of_ints (Array.fold_left ( + ) 0 hits) n
-  end
-
-(* Theorem-4 shape: each domain generates its chunk of the shared sample
-   once and scores it against every parameter, so the combined counts are
-   those of one sample of [n] points scored against all parameters. *)
-let estimate_family_random ?(domains = 1) ~prng ~dim ~n ~mem params =
-  if n <= 0 then invalid_arg "Approx_volume.estimate_family_random: empty sample";
-  let domains = clamp_domains ~n domains in
-  if domains = 1 then begin
-    let sample = random_sample ~prng ~dim ~n in
-    estimate_family ~sample ~mem params
-  end
-  else begin
-    let sizes = chunk_sizes ~n ~chunks:domains in
-    let prngs = Array.init domains (fun _ -> Prng.split prng) in
-    let params_arr = Array.of_list params in
-    let counts = Array.make domains [||] in
-    Pool.run_chunks ~label:"vc.family" ~items:n domains (fun i ->
-        let chunk = random_sample ~prng:prngs.(i) ~dim ~n:sizes.(i) in
-        counts.(i) <-
-          Array.map
-            (fun a ->
-              let test = mem a in
-              let h =
-                List.fold_left
-                  (fun h pt -> if test pt then h + 1 else h)
-                  0 chunk
-              in
-              if T.enabled () then begin
-                T.add tm_tests sizes.(i);
-                T.add tm_accepted h
-              end;
-              h)
-            params_arr);
-    let totals = Array.make (Array.length params_arr) 0 in
-    Array.iter
-      (fun per_param ->
-        Array.iteri (fun j h -> totals.(j) <- totals.(j) + h) per_param)
-      counts;
-    List.mapi (fun j a -> (a, Q.of_ints totals.(j) n)) params
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Retained samples (incremental re-scoring)                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The exact points [estimate_random] would draw for the same prng, size
-   and domain count: the [domains = 1] branch is [random_sample] itself,
-   and the chunked branch replays [estimate_random]'s decomposition (split
-   the prngs in chunk order, draw each chunk with the generation loop of
-   the chunk scorer).  Callers retain the points and a membership bitmap
-   so a database update can re-score only the points a delta touches;
-   [fraction_of_bits] then reproduces [estimate_random]'s rational. *)
+(* Every estimator is draw -> score -> count.  The draw is the only place
+   the sample's decomposition lives: with [domains] > 1 the caller's
+   generator is split into one generator per chunk, in chunk order, before
+   anything runs, and chunk [i] draws its [Par.chunk_sizes] share from its
+   own generator, so the points are a function of (seed, n, domains)
+   alone; [domains = 1] draws every point from the caller's generator. *)
 let sample_points ?(domains = 1) ~prng ~dim n =
   if n <= 0 then invalid_arg "Approx_volume.sample_points: empty sample";
-  let domains = clamp_domains ~n domains in
-  if domains = 1 then Array.of_list (random_sample ~prng ~dim ~n)
-  else begin
-    let sizes = chunk_sizes ~n ~chunks:domains in
-    let prngs = Array.init domains (fun _ -> Prng.split prng) in
-    let out = Array.make n [||] in
-    let pos = ref 0 in
-    for i = 0 to domains - 1 do
-      let prng = prngs.(i) in
-      for _ = 1 to sizes.(i) do
-        out.(!pos) <- Array.init dim (fun _ -> Prng.q_unit prng);
-        incr pos
-      done
-    done;
-    if T.enabled () then T.add tm_drawn n;
-    out
-  end
+  let prngs =
+    match Par.clamp_domains ~n domains with
+    | 1 -> [| prng |]
+    | k -> Array.init k (fun _ -> Prng.split prng)
+  in
+  let pts =
+    chunked ~label:"vc.draw" ~domains n (fun i _ size ->
+        Array.init size (fun _ -> Array.init dim (fun _ -> Prng.q_unit prngs.(i))))
+    |> concat_chunks
+  in
+  if T.enabled () then T.add tm_drawn n;
+  pts
 
-let score_sample mem pts =
+(* Halton points are indexed, so the chunking cannot change the sample. *)
+let halton_sample ?(domains = 1) ~dim n =
+  if n <= 0 then invalid_arg "Approx_volume.halton_sample: empty sample";
+  let pts =
+    chunked ~label:"vc.halton" ~domains n (fun _ start size ->
+        Array.init size (fun j -> Halton.point ~dim (start + j + 1)))
+    |> concat_chunks
+  in
+  if T.enabled () then T.add tm_drawn n;
+  pts
+
+(* Membership is elementwise, so the chunking cannot change the bitmap:
+   each chunk writes its own byte range and returns its hit count. *)
+let score ?(domains = 1) mem pts =
   let n = Array.length pts in
-  if n = 0 then invalid_arg "Approx_volume.score_sample: empty sample";
+  if n = 0 then invalid_arg "Approx_volume.score: empty sample";
   let bits = Bytes.make n '\000' in
-  let hits = ref 0 in
-  Array.iteri
-    (fun i pt ->
-      if mem pt then begin
-        Bytes.set bits i '\001';
-        incr hits
-      end)
-    pts;
+  let hits =
+    chunked ~label:"vc.score" ~domains n (fun _ start size ->
+        let h = ref 0 in
+        for j = start to start + size - 1 do
+          if mem pts.(j) then begin
+            Bytes.set bits j '\001';
+            incr h
+          end
+        done;
+        !h)
+    |> Array.fold_left ( + ) 0
+  in
   if T.enabled () then begin
     T.incr tm_estimates;
     T.add tm_tests n;
-    T.add tm_accepted !hits
+    T.add tm_accepted hits
   end;
   bits
 
@@ -221,3 +86,17 @@ let fraction_of_bits bits =
   let hits = ref 0 in
   Bytes.iter (fun c -> if c <> '\000' then incr hits) bits;
   Q.of_ints !hits n
+
+let fraction_in ?domains sample mem = fraction_of_bits (score ?domains mem sample)
+
+let estimate_family ?domains ~sample ~mem params =
+  List.map (fun a -> (a, fraction_in ?domains sample (mem a))) params
+
+let estimate_random ?domains ~prng ~dim ~n mem =
+  fraction_in ?domains (sample_points ?domains ~prng ~dim n) mem
+
+let estimate_halton ?domains ~dim ~n mem =
+  fraction_in ?domains (halton_sample ?domains ~dim n) mem
+
+let estimate_family_random ?domains ~prng ~dim ~n ~mem params =
+  estimate_family ?domains ~sample:(sample_points ?domains ~prng ~dim n) ~mem params

@@ -1,53 +1,68 @@
 (** Sampling-based approximate volume: the executable content of Lemma 1 and
     Theorem 4.  An epsilon-approximation of [vol (S intersect I^n)] is the
     fraction of a sample falling in [S]; the sample size comes from the
-    BEHW bound and the family's VC dimension, so one shared sample is good
-    for all parameter values simultaneously with probability [1 - delta]. *)
+    BEHW bound ({!Bounds.blumer_sample_size}) and the family's VC
+    dimension, so one shared sample is good for all parameter values
+    simultaneously with probability [1 - delta].
+
+    Every estimator is one path: draw the points ({!sample_points} or
+    {!halton_sample}), {!score} them into a membership bitmap, and count
+    the bitmap ({!fraction_of_bits}).  [?domains] (default [1]) spreads
+    the draw's decomposition and the membership tests over that many
+    chunks; the result is reproducible for a fixed seed and domain count,
+    and a Halton estimate is the same for every domain count. *)
 
 open Cqa_arith
 
-type sample = Q.t array list
+type sample = Q.t array array
 
-val random_sample : prng:Prng.t -> dim:int -> n:int -> sample
-(** Uniform dyadic-rational points in the unit cube. *)
+val sample_points : ?domains:int -> prng:Prng.t -> dim:int -> int -> sample
+(** [sample_points ~prng ~dim n]: [n] uniform dyadic-rational points in
+    the unit cube.  With [domains] > 1 the generator is split into one
+    generator per chunk ({!Cqa_conc.Par.chunk_sizes}), in chunk order, so
+    the points depend on [prng], [n] and [domains] only.  This is the only
+    place that order is defined: a sample retained for incremental
+    re-scoring and a one-shot estimate draw the same points.
+    @raise Invalid_argument when [n <= 0]. *)
 
-val halton_sample : dim:int -> n:int -> sample
-(** Deterministic low-discrepancy sample (the derandomized stand-in). *)
+val halton_sample : ?domains:int -> dim:int -> int -> sample
+(** Deterministic low-discrepancy sample, Halton indices [1..n] (the
+    derandomized stand-in), computed in [domains] chunks; the same points
+    for every domain count.
+    @raise Invalid_argument when [n <= 0]. *)
 
-val fraction_in : sample -> (Q.t array -> bool) -> Q.t
-(** Fraction of the sample inside the set; exact rational. *)
+val score : ?domains:int -> (Q.t array -> bool) -> sample -> Bytes.t
+(** Membership bitmap of the points ([\001] = inside), tested in
+    [domains] chunks on the pool; the bitmap does not depend on the domain
+    count.  Ticks [vc.estimates] once and [vc.membership_tests] /
+    [vc.samples.accepted] per point.  The membership oracle must be safe
+    to call from several domains.
+    @raise Invalid_argument on an empty sample. *)
 
-val estimate :
-  sample:sample -> mem:(Q.t array -> bool) -> Q.t
-(** Volume estimate for one set: [fraction_in]. *)
+val fraction_of_bits : Bytes.t -> Q.t
+(** Hits over sample size: the estimate the bitmap encodes. *)
 
-val sample_size : eps:float -> delta:float -> vc_dim:int -> int
-(** The BEHW [M] (re-exported from {!Bounds}). *)
+val fraction_in : ?domains:int -> sample -> (Q.t array -> bool) -> Q.t
+(** [fraction_of_bits (score mem sample)]: the fraction of the sample
+    inside the set, an exact rational. *)
 
 val estimate_family :
-  sample:sample -> mem:('a -> Q.t array -> bool) -> 'a list -> ('a * Q.t) list
+  ?domains:int ->
+  sample:sample ->
+  mem:('a -> Q.t array -> bool) ->
+  'a list ->
+  ('a * Q.t) list
 (** One shared sample scored against every parameter: the Theorem 4
     uniform-over-parameters shape. *)
 
 val estimate_random :
-  ?domains:int ->
-  prng:Prng.t ->
-  dim:int ->
-  n:int ->
-  (Q.t array -> bool) ->
-  Q.t
-(** Fraction of [n] uniform unit-cube points inside the set, generating and
-    scoring the sample in [domains] parallel chunks (default [1] = the
-    sequential path, identical to [fraction_in (random_sample ...)]).
-    Chunk generators are split deterministically from [prng], so the result
-    is reproducible for a fixed seed and domain count.  The membership
-    oracle must be safe to call from several domains. *)
+  ?domains:int -> prng:Prng.t -> dim:int -> n:int -> (Q.t array -> bool) -> Q.t
+(** [fraction_in] of [sample_points ~prng ~dim n]. *)
 
 val estimate_halton :
   ?domains:int -> dim:int -> n:int -> (Q.t array -> bool) -> Q.t
-(** Deterministic low-discrepancy estimate over Halton indices [1..n],
-    partitioned into contiguous blocks: the result is the same exact
-    rational for every domain count. *)
+(** [fraction_in] of [halton_sample ~dim n]: the same exact rational for
+    every domain count. *)
 
 val estimate_family_random :
   ?domains:int ->
@@ -57,25 +72,4 @@ val estimate_family_random :
   mem:('a -> Q.t array -> bool) ->
   'a list ->
   ('a * Q.t) list
-(** [estimate_family] over a freshly drawn sample of [n] points, scored
-    against every parameter, chunk-parallel across [domains]. *)
-
-(** {1 Retained samples}
-
-    For incremental re-scoring under database updates: draw the sample
-    once, keep the points and a membership bitmap, and after an update
-    re-test only the points the delta's bounding box touches. *)
-
-val sample_points :
-  ?domains:int -> prng:Prng.t -> dim:int -> int -> Q.t array array
-(** [sample_points ~prng ~dim n]: exactly the points {!estimate_random}
-    draws for the same [prng], [n] and [domains] (chunk PRNGs split in
-    chunk order, points in chunk order), so a retained sample reproduces
-    the one-shot estimate bit-for-bit. *)
-
-val score_sample : (Q.t array -> bool) -> Q.t array array -> Bytes.t
-(** Membership bitmap of the points ([\001] = inside); ticks the same
-    test/acceptance counters as a one-shot estimate. *)
-
-val fraction_of_bits : Bytes.t -> Q.t
-(** Hits over sample size: the estimate the bitmap encodes. *)
+(** [estimate_family] over [sample_points ~prng ~dim n]. *)

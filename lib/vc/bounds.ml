@@ -1,11 +1,13 @@
 let log2 x = log x /. log 2.0
 
 let blumer_sample_size ~eps ~delta ~vc_dim =
-  if eps <= 0.0 || eps >= 1.0 then invalid_arg "Bounds.blumer_sample_size: eps";
-  if delta <= 0.0 || delta >= 1.0 then invalid_arg "Bounds.blumer_sample_size: delta";
+  if not (eps > 0.0 && eps < 1.0) then invalid_arg "Bounds.blumer_sample_size: eps";
+  if not (delta > 0.0 && delta < 1.0) then invalid_arg "Bounds.blumer_sample_size: delta";
   let a = 4.0 /. eps *. log2 (2.0 /. delta) in
   let b = 8.0 *. float_of_int vc_dim /. eps *. log2 (13.0 /. eps) in
-  int_of_float (ceil (max a b)) + 1
+  let m = ceil (max a b) in
+  (* saturate instead of overflowing for vanishing eps or delta *)
+  if m >= float_of_int max_int then max_int else int_of_float m + 1
 
 let goldberg_jerrum_c ~k ~p ~q ~d ~s =
   let e = exp 1.0 in

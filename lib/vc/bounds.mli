@@ -10,7 +10,9 @@
       conclusion that the construction blows up beyond practical use. *)
 
 val blumer_sample_size : eps:float -> delta:float -> vc_dim:int -> int
-(** Smallest integer [M] satisfying the BEHW bound. *)
+(** Smallest integer [M] satisfying the BEHW bound, saturating at
+    [max_int].
+    @raise Invalid_argument unless [eps] and [delta] lie in (0, 1). *)
 
 val goldberg_jerrum_c :
   k:int -> p:int -> q:int -> d:int -> s:int -> float

@@ -378,12 +378,12 @@ let test_volume_monotone () =
 let test_volume_approx () =
   let prng = Cqa_vc.Prng.create 5 in
   let disk = Cqa_poly.Semialg.ball ~center:[| Q.half; Q.half |] ~radius:(qq 2 5) in
-  let est = Volume_approx.approx_semialg ~prng ~m:4000 disk in
+  let mem = Cqa_poly.Semialg.mem disk in
+  let est = Cqa_vc.Approx_volume.estimate_random ~prng ~dim:2 ~n:4000 mem in
   let truth = Float.pi *. 0.16 in
   check "disk estimate" true (abs_float (Q.to_float est -. truth) < 0.03);
-  let { Volume_approx.estimate; sample_size } =
-    Volume_approx.approx_semialg_eps ~prng ~eps:0.05 ~delta:0.1 ~vc_dim:3 disk
-  in
+  let sample_size = Cqa_vc.Bounds.blumer_sample_size ~eps:0.05 ~delta:0.1 ~vc_dim:3 in
+  let estimate = Cqa_vc.Approx_volume.estimate_random ~prng ~dim:2 ~n:sample_size mem in
   check "eps variant close" true (abs_float (Q.to_float estimate -. truth) < 0.05);
   check "sample size sane" true (sample_size > 100)
 
@@ -422,7 +422,10 @@ let test_volume_approx_domains () =
   let a = run 3 and b = run 3 in
   check "parallel deterministic" true (Q.equal a b);
   check "parallel covers cube" true (Q.equal a Q.one);
-  let h d = Volume_approx.halton_approx_query ~domains:d ~m:400 db ~yvars:dv2 f in
+  let h d =
+    Cqa_vc.Approx_volume.estimate_halton ~domains:d ~dim:2 ~n:400
+      (Volume_approx.member db dv2 f)
+  in
   check "halton domain-invariant" true (Q.equal (h 1) (h 4));
   let fam d =
     let prng = Cqa_vc.Prng.create 23 in
@@ -708,6 +711,61 @@ let test_volume_param_box () =
   check "constant 3 inside" true (Q.equal (Volume_param.eval f (qq 3 2)) (q 3));
   check "integral" true (Q.equal (Volume_param.integrate f) (q 3))
 
+(* Exec.volume and a cold Volume_param.refresh both integrate the pieces
+   of Volume_exact.section_pieces; the Lasserre inclusion-exclusion engine
+   shares no code with it, so it is their independent reference.  The
+   pool is forced so the multi-domain runs really chunk. *)
+let fixed_3d_sets () =
+  let dv3 = Semilinear.default_vars 3 in
+  let y1 = Linexpr.var dv3.(0) and y2 = Linexpr.var dv3.(1) and t = Linexpr.var dv3.(2) in
+  let a = qq 1 10 in
+  let section3 =
+    Semilinear.of_conjunction dv3
+      [ Linconstr.lt (Linexpr.const a) y1; Linconstr.lt y1 t;
+        Linconstr.ge y2 Linexpr.zero; Linconstr.le y2 y1;
+        Linconstr.ge t (Linexpr.const a); Linconstr.le t (Linexpr.const Q.one) ]
+  in
+  let box lo hi = List.concat (List.init 3 (fun i -> iv dv3.(i) lo.(i) hi.(i))) in
+  let boxes =
+    Semilinear.make dv3
+      [ box [| Q.zero; Q.zero; Q.zero |] [| q 2; Q.one; Q.one |];
+        box [| Q.one; Q.half; Q.zero |] [| q 3; q 2; qq 3 2 |] ]
+  in
+  let random seed =
+    Cqa_workload.Generators.semilinear (Cqa_vc.Prng.create seed) ~dim:3 ~disjuncts:2
+  in
+  (dv3, [ section3; boxes; random 102; random 7 ])
+
+let test_shared_sweep_reference () =
+  let dv3, sets = fixed_3d_sets () in
+  let schema3 = Schema.of_list [ ("R", 3) ] in
+  let f = Ast.Rel ("R", Array.to_list dv3) in
+  Cqa_conc.Pool.set_mode Cqa_conc.Pool.Always;
+  Fun.protect ~finally:(fun () -> Cqa_conc.Pool.set_mode Cqa_conc.Pool.Auto) @@ fun () ->
+  List.iteri
+    (fun i s ->
+      let reference = Volume_exact.volume_incl_excl s in
+      let db3 = Db.of_list schema3 [ ("R", Db.Semilin s) ] in
+      List.iter
+        (fun domains ->
+          Plan.clear_cache ();
+          let p = Plan.cached ~coords:dv3 f in
+          check
+            (Printf.sprintf "set %d: Exec.volume = incl-excl at %d domains" i domains)
+            true
+            (Q.equal (Exec.volume ~domains p db3) reference);
+          let pieces, recomputed, reused =
+            Volume_param.refresh ~domains ~old:[] ~dirty:(fun _ _ -> false) s
+          in
+          check
+            (Printf.sprintf "set %d: cold refresh = incl-excl at %d domains" i domains)
+            true
+            (Q.equal (Volume_param.integrate pieces) reference);
+          check_int "cold refresh reuses nothing" 0 reused;
+          check_int "cold refresh builds every piece" (List.length pieces) recomputed)
+        [ 1; 2; 4 ])
+    sets
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -988,7 +1046,9 @@ let () =
           Alcotest.test_case "lemma 2" `Quick test_lemma2 ] );
       ( "volume-param",
         [ Alcotest.test_case "section 3 closed form" `Quick test_volume_param_section3;
-          Alcotest.test_case "box" `Quick test_volume_param_box ] );
+          Alcotest.test_case "box" `Quick test_volume_param_box;
+          Alcotest.test_case "shared sweep = incl-excl, dom 1/2/4" `Quick
+            test_shared_sweep_reference ] );
       ( "parser",
         [ Alcotest.test_case "formulas" `Quick test_parser_formulas;
           Alcotest.test_case "sum" `Quick test_parser_sum;

@@ -109,7 +109,7 @@ let test_e7_family () =
   let prng = Prng.create 3 in
   let db = Paper_examples.triangle_db () in
   let dv = Semilinear.default_vars 2 in
-  let m = Volume_approx.sample_size_for ~eps:0.08 ~delta:0.2 ~vc_dim:2 in
+  let m = Bounds.blumer_sample_size ~eps:0.08 ~delta:0.2 ~vc_dim:2 in
   let fam =
     Volume_approx.approx_query_family ~prng ~m db ~xvars:[| dv.(0) |]
       ~yvars:[| dv.(1) |]

@@ -124,12 +124,16 @@ let test_param_exec () =
     (Q.is_zero (Exec.volume_at p db0 [| Q.one |]));
   check "outside the range" true
     (Q.is_zero (Exec.volume_at p db0 [| Q.of_int 2 |]));
-  (* batch shares the warm state and agrees with one-shot execution *)
+  (* a batch shares the warm state and agrees with one-shot execution,
+     whether the bindings run on one domain or are dealt across four *)
   let us = [ [| qq 1 3 |]; [| qq 3 4 |]; [| Q.zero |]; [| qq 9 10 |] ] in
-  List.iter2
-    (fun b u -> check "batch = one-shot" true (Q.equal b (Exec.volume_at p db0 u)))
-    (Exec.batch p db0 us)
-    us;
+  List.iter
+    (fun domains ->
+      List.iter2
+        (fun b u -> check "batch = one-shot" true (Q.equal b (Exec.volume_at p db0 u)))
+        (Exec.volume_batch ~domains p db0 us)
+        us)
+    [ 1; 4 ];
   (* domain counts agree on the parameterized path as well *)
   List.iter
     (fun domains ->
@@ -237,6 +241,31 @@ let test_warm_cold_guarded () =
     (Q.equal a.Volume_exact.value b.Volume_exact.value);
   check "matches the one-shot sampler" true (Q.equal a.Volume_exact.value d)
 
+(* At several domains the retained sample must still be the one-shot
+   estimator's, cold and warm; the pool is forced so the draw and the
+   scoring really chunk. *)
+let test_guarded_sampler_domains () =
+  let f = parse sweep_src in
+  Cqa_conc.Pool.set_mode Cqa_conc.Pool.Always;
+  Fun.protect ~finally:(fun () -> Cqa_conc.Pool.set_mode Cqa_conc.Pool.Auto) @@ fun () ->
+  List.iter
+    (fun domains ->
+      Plan.clear_cache ();
+      let p = Plan.cached ~coords:yvars f in
+      let oneshot, m =
+        Volume_exact.sampler_estimate ~domains ~eps:0.1 ~delta:0.1 ~seed:11 db0 yvars f
+      in
+      List.iter
+        (fun run ->
+          let g = Exec.volume_guarded ~domains ~budget:0. ~seed:11 p db0 in
+          check
+            (Printf.sprintf "%s fallback = one-shot sampler at %d domains" run domains)
+            true
+            (Q.equal g.Volume_exact.value oneshot
+            && g.Volume_exact.engine = Volume_exact.Approx_engine { sample_size = m }))
+        [ "cold"; "warm" ])
+    [ 2; 4 ]
+
 let test_planner_hint () =
   Plan.clear_cache ();
   let f = parse sweep_src in
@@ -265,6 +294,8 @@ let () =
             test_volume_of_query_cached;
           Alcotest.test_case "parameterized" `Quick test_param_exec;
           Alcotest.test_case "slot validation" `Quick test_param_validation;
+          Alcotest.test_case "guarded fallback = sampler, dom 2/4" `Quick
+            test_guarded_sampler_domains;
           Alcotest.test_case "warm = cold (guarded)" `Quick
             test_warm_cold_guarded ] );
       ( "planner",

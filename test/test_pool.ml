@@ -11,6 +11,7 @@ open Cqa_vc
 open Cqa_core
 module T = Cqa_telemetry.Telemetry
 module Pool = Cqa_conc.Pool
+module Par = Cqa_conc.Par
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

@@ -256,6 +256,23 @@ let test_admission_degrade () =
        (fun (name, _) -> name = "serve.fallback")
        (T.snapshot ()).T.events)
 
+(* eps or delta outside (0, 1), or a sample size past the ceiling, is a
+   bad-args answer before any point is drawn, and the server keeps
+   serving *)
+let test_degrade_knobs_checked () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun c ->
+  let degrade knobs =
+    error_code
+      (Client.request c
+         (Printf.sprintf {|{"op":"vol","query":"%s","budget":1,"admission":"degrade",%s}|}
+            over_budget_q knobs))
+  in
+  check_str "eps 0" "bad-args" (degrade {|"eps":0|});
+  check_str "delta 1.5" "bad-args" (degrade {|"delta":1.5|});
+  check_str "eps 1e-7 exceeds the sample ceiling" "bad-args" (degrade {|"eps":1e-7|});
+  check "still serving" true (is_ok (Client.request c {|{"op":"ping"}|}))
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent clients: byte-identity and coalescing                    *)
 (* ------------------------------------------------------------------ *)
@@ -480,7 +497,9 @@ let () =
         [ Alcotest.test_case "over-budget rejection" `Quick
             test_admission_reject;
           Alcotest.test_case "degrade to sampler" `Quick
-            test_admission_degrade ] );
+            test_admission_degrade;
+          Alcotest.test_case "degrade sampler knobs checked" `Quick
+            test_degrade_knobs_checked ] );
       ( "concurrency",
         [ Alcotest.test_case "batched responses byte-identical" `Quick
             test_concurrent_byte_identical ] );

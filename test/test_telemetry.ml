@@ -171,7 +171,46 @@ let test_counter_determinism_across_domains () =
   check "sweep recorded work" true
     (List.exists
        (fun (n, v) -> n = "volume.sweep.sections" && v > 0)
-       (List.nth !expected 0))
+       (List.nth !expected 0));
+  (* the sampler: a Halton sample is the same at every domain count, so
+     every vc.* counter is; a random sample's points (hence its
+     acceptances) depend on the domain count, its sizes do not *)
+  let quarter p = Q.lt p.(0) Q.half && Q.lt p.(1) Q.half in
+  let is_vc n = String.length n > 3 && String.sub n 0 3 = "vc." in
+  let sized n =
+    List.mem n [ "vc.samples.drawn"; "vc.membership_tests"; "vc.estimates" ]
+  in
+  let estimators =
+    [ ( "halton", is_vc,
+        fun domains -> ignore (Approx_volume.estimate_halton ~domains ~dim:2 ~n:300 quarter) );
+      ( "random", sized,
+        fun domains ->
+          ignore
+            (Approx_volume.estimate_random ~domains ~prng:(Prng.create 5) ~dim:2
+               ~n:300 quarter) );
+      ( "family", sized,
+        fun domains ->
+          ignore
+            (Approx_volume.estimate_family_random ~domains ~prng:(Prng.create 5)
+               ~dim:2 ~n:300
+               ~mem:(fun a p -> Q.lt p.(0) a)
+               [ Q.half; Q.one ]) ) ]
+  in
+  List.iter
+    (fun (name, keep, run) ->
+      let at domains =
+        List.filter (fun (n, _) -> keep n) (counters_for_run (fun () -> run domains))
+      in
+      let base = at 1 in
+      check (name ^ " recorded estimates") true
+        (List.exists (fun (n, v) -> n = "vc.estimates" && v > 0) base);
+      List.iter
+        (fun domains ->
+          check
+            (Printf.sprintf "%s counters identical at %d domains" name domains)
+            true (at domains = base))
+        [ 2; 4 ])
+    estimators
 
 let test_memo_hit_miss_expectations () =
   let x = Var.of_string "x" and y = Var.of_string "y" and z = Var.of_string "z" in

@@ -139,30 +139,30 @@ let test_definable_family_halfline () =
   check_int "halflines vc 1" 1 dim
 
 let test_fraction_in () =
-  let sample = [ [| Q.zero |]; [| Q.half |]; [| Q.one |]; [| qq 3 4 |] ] in
+  let sample = [| [| Q.zero |]; [| Q.half |]; [| Q.one |]; [| qq 3 4 |] |] in
   check "fraction" true
     (Q.equal (Approx_volume.fraction_in sample (fun p -> Q.lt p.(0) (qq 3 5))) Q.half)
 
 let test_monte_carlo_box () =
   (* estimate the volume of [0, 1/2]^2 = 1/4 *)
   let prng = Prng.create 9 in
-  let sample = Approx_volume.random_sample ~prng ~dim:2 ~n:4000 in
+  let sample = Approx_volume.sample_points ~prng ~dim:2 4000 in
   let est =
-    Approx_volume.estimate ~sample ~mem:(fun p ->
+    Approx_volume.fraction_in sample (fun p ->
         Q.leq p.(0) Q.half && Q.leq p.(1) Q.half)
   in
   check "estimate close" true (abs_float (Q.to_float est -. 0.25) < 0.03);
   (* halton is deterministic and at least as accurate here *)
-  let hsample = Approx_volume.halton_sample ~dim:2 ~n:2000 in
+  let hsample = Approx_volume.halton_sample ~dim:2 2000 in
   let hest =
-    Approx_volume.estimate ~sample:hsample ~mem:(fun p ->
+    Approx_volume.fraction_in hsample (fun p ->
         Q.leq p.(0) Q.half && Q.leq p.(1) Q.half)
   in
   check "halton close" true (abs_float (Q.to_float hest -. 0.25) < 0.01)
 
 let test_estimate_family_shared_sample () =
   let prng = Prng.create 21 in
-  let sample = Approx_volume.random_sample ~prng ~dim:1 ~n:3000 in
+  let sample = Approx_volume.sample_points ~prng ~dim:1 3000 in
   let params = [ qq 1 4; Q.half; qq 3 4 ] in
   let results =
     Approx_volume.estimate_family ~sample
@@ -187,14 +187,14 @@ let test_estimate_random_seq_matches_fraction_in () =
   let reference =
     let prng = Prng.create 42 in
     Approx_volume.fraction_in
-      (Approx_volume.random_sample ~prng ~dim:2 ~n:1000)
+      (Approx_volume.sample_points ~prng ~dim:2 1000)
       quarter_box
   in
   let seq =
     Approx_volume.estimate_random ~prng:(Prng.create 42) ~dim:2 ~n:1000
       quarter_box
   in
-  check "seq = fraction_in of random_sample" true (Q.equal reference seq)
+  check "seq = fraction_in of sample_points" true (Q.equal reference seq)
 
 let test_estimate_random_parallel_deterministic () =
   let run () =
@@ -213,8 +213,8 @@ let test_estimate_random_parallel_deterministic () =
     (abs_float (Q.to_float other -. 0.25) < 0.05)
 
 let test_estimate_halton_domain_invariant () =
-  (* Halton indices are partitioned, so every domain count gives the same
-     exact rational *)
+  (* Halton points are indexed, so every domain count gives the same exact
+     rational *)
   let e1 = Approx_volume.estimate_halton ~domains:1 ~dim:2 ~n:500 quarter_box in
   List.iter
     (fun d ->
@@ -229,7 +229,7 @@ let test_estimate_family_random_parallel () =
   let reference =
     let prng = Prng.create 21 in
     Approx_volume.estimate_family
-      ~sample:(Approx_volume.random_sample ~prng ~dim:1 ~n:3000)
+      ~sample:(Approx_volume.sample_points ~prng ~dim:1 3000)
       ~mem params
   in
   let seq =
@@ -253,6 +253,35 @@ let test_estimate_family_random_parallel () =
       check "family parallel uniform accuracy" true
         (abs_float (Q.to_float est -. Q.to_float a) < 0.04))
     r1
+
+(* The draw order is part of the contract: a retained sample, a one-shot
+   estimate and every earlier run with the same (seed, n, domains) must
+   see the same points.  These rationals pin the order of generator
+   splits and chunk sizes. *)
+let test_draw_order_pinned () =
+  let q = Q.of_string in
+  List.iter
+    (fun (domains, random, family, last) ->
+      let est =
+        Approx_volume.estimate_random ~domains ~prng:(Prng.create 42) ~dim:2 ~n:1000
+          quarter_box
+      in
+      let fam =
+        Approx_volume.estimate_family_random ~domains ~prng:(Prng.create 42) ~dim:1
+          ~n:1000
+          ~mem:(fun a p -> Q.lt p.(0) a)
+          [ qq 1 3; qq 2 3 ]
+      in
+      let pts = Approx_volume.sample_points ~domains ~prng:(Prng.create 42) ~dim:2 1000 in
+      let tag = Printf.sprintf " at %d domains" domains in
+      check ("random estimate" ^ tag) true (Q.equal est (q random));
+      check ("family estimates" ^ tag) true
+        (List.for_all2 (fun (_, e) s -> Q.equal e (q s)) fam family);
+      check ("last point" ^ tag) true (Q.equal pts.(999).(1) (q last)))
+    [ (1, "61/250", [ "44/125"; "67/100" ], "8764297108012697/9007199254740992");
+      (2, "59/250", [ "13/40"; "82/125" ], "2153065298021659/2251799813685248");
+      (3, "117/500", [ "321/1000"; "78/125" ], "1517765492239493/9007199254740992");
+      (4, "243/1000", [ "323/1000"; "643/1000" ], "628656660361237/4503599627370496") ]
 
 let () =
   Alcotest.run "cqa_vc"
@@ -282,4 +311,5 @@ let () =
           Alcotest.test_case "halton domain-invariant" `Quick
             test_estimate_halton_domain_invariant;
           Alcotest.test_case "family parallel" `Quick
-            test_estimate_family_random_parallel ] ) ]
+            test_estimate_family_random_parallel;
+          Alcotest.test_case "draw order pinned" `Quick test_draw_order_pinned ] ) ]

@@ -95,7 +95,10 @@ let test_arctan_example () =
   let x = Q.one in
   let set = Paper_examples.arctan_epigraph x in
   let prng = Prng.create 17 in
-  let est = Volume_approx.approx_semialg ~prng ~m:6000 set in
+  let est =
+    Approx_volume.estimate_random ~prng ~dim:(Cqa_poly.Semialg.dim set) ~n:6000
+      (Cqa_poly.Semialg.mem set)
+  in
   check "atan 1" true
     (abs_float (Q.to_float est -. Paper_examples.arctan_volume_float x) < 0.03);
   let sec = Cqa_poly.Semialg.last_axis_section set [| Q.half |] in
