@@ -13,6 +13,7 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 
 module Telemetry = Cqa_telemetry.Telemetry
+module Tjson = Cqa_telemetry.Tjson
 
 let stats_arg =
   Arg.(
@@ -51,15 +52,166 @@ let domains_arg =
               default."
              default_domains))
 
-(* The sampler's eps and delta: a probability strictly between 0 and 1,
-   rejected at parse time rather than by the sample-size bound. *)
-let open_unit =
+(* Flags several subcommands share, each defined once; where the meaning
+   varies by command, the flag takes that command's doc. *)
+
+let format_arg =
+  Arg.(
+    value
+    & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
+    & info [ "format" ] ~doc:"Output format: $(b,human) or $(b,json).")
+
+let budget_arg doc =
+  Arg.(
+    value
+    & opt float Dispatch.default_budget
+    & info [ "budget" ] ~docv:"X" ~doc)
+
+let seed_arg doc = Arg.(value & opt int 1 & info [ "seed" ] ~doc)
+
+(* The sampler's --eps and --delta: a probability strictly between 0 and
+   1, rejected at parse time rather than by the sample-size bound. *)
+let probability_arg name ~default doc =
   let parse s =
     match float_of_string_opt s with
     | Some x when x > 0. && x < 1. -> Ok x
     | _ -> Error (`Msg (Printf.sprintf "%S is not a number in (0, 1)" s))
   in
-  Arg.conv (parse, Format.pp_print_float)
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_float)) default
+    & info [ name ] ~doc)
+
+(* ------------------------------------------------------------------ *)
+(* Query input: QUERY or --file, --schema, --params                    *)
+(* ------------------------------------------------------------------ *)
+
+module Protocol = Cqa_serve.Protocol
+
+let schema_or_exit spec =
+  match Protocol.schema_of_spec spec with
+  | Ok s -> s
+  | Error msg ->
+      Format.eprintf "schema error: %s@." msg;
+      exit 2
+
+let formula_or_exit src =
+  match Parser.formula_of_string src with
+  | f -> f
+  | exception Parser.Parse_error msg ->
+      Format.eprintf "parse error: %s@." msg;
+      exit 2
+
+(* The integration coordinates of a VOL_I query: its free variables. *)
+let coords_or_exit f =
+  let coords = Array.of_list (Var.Set.elements (Ast.free_vars f)) in
+  if Array.length coords = 0 then begin
+    Format.eprintf "query has no free variables: VOL_I is 0-dimensional@.";
+    exit 2
+  end;
+  coords
+
+(* A '#'-commented text file: the bodies of its comment lines (after the
+   '#', trimmed) and its other non-blank lines, each in file order. *)
+let read_commented path =
+  let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec go comments lines =
+    match String.trim (input_line ic) with
+    | exception End_of_file -> (List.rev comments, List.rev lines)
+    | "" -> go comments lines
+    | t when t.[0] = '#' ->
+        let body = String.trim (String.sub t 1 (String.length t - 1)) in
+        go (body :: comments) lines
+    | t -> go comments (t :: lines)
+  in
+  go [] []
+
+(* .cq files: a '# schema: U:1 P:2' comment declares relation arities, a
+   '# params: u v' comment names the parameter slots of a parameterized
+   query, and the other lines joined are the query text. *)
+let read_cq path =
+  let comments, lines = read_commented path in
+  let header key =
+    let k = key ^ ":" and n = String.length key + 1 in
+    List.fold_left
+      (fun found c ->
+        if String.length c >= n && String.sub c 0 n = k then
+          Some (String.trim (String.sub c n (String.length c - n)))
+        else found)
+      None comments
+  in
+  (String.concat " " lines, header "schema", header "params")
+
+type query_input = {
+  src : string;
+  db : Db.t option;  (* empty, over --schema or the file's header *)
+  params : Var.t array option;  (* --params or the file's header *)
+}
+
+(* The query input of analyze, vol and plan.  The term yields a resolver,
+   so that analyze --corpus needs no query; [verb] names what a missing
+   query stops.  Only commands given [params_doc] take --params. *)
+let query_input ~verb ~query_doc ?params_doc () =
+  let query =
+    Arg.(
+      value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:query_doc)
+  in
+  let file =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "file" ] ~docv:"FILE"
+          ~doc:
+            "Read the query from a .cq file: '#' lines are comments, a '# \
+             schema: U:1 P:2' line declares relation arities and a '# \
+             params: u v' line parameter slots.")
+  in
+  let schema =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "schema" ] ~docv:"SPEC"
+          ~doc:"Relation arities, e.g. 'U:1,P:2' (overrides the file header).")
+  in
+  let params =
+    match params_doc with
+    | None -> Term.const None
+    | Some doc ->
+        Arg.(
+          value
+          & opt (some string) None
+          & info [ "params" ] ~docv:"VARS" ~doc)
+  in
+  let resolve query file schema params () =
+    let src, file_schema, file_params =
+      match (query, file) with
+      | Some q, None -> (q, None, None)
+      | None, Some path -> read_cq path
+      | Some _, Some _ ->
+          Format.eprintf "give either QUERY or --file, not both@.";
+          exit 2
+      | None, None ->
+          Format.eprintf "nothing to %s: give QUERY or --file@." verb;
+          exit 2
+    in
+    let either flag header = if flag <> None then flag else header in
+    let db =
+      Option.map
+        (fun spec -> Db.empty (schema_or_exit spec))
+        (either schema file_schema)
+    in
+    let params =
+      Option.map
+        (fun spec ->
+          String.split_on_char ',' spec
+          |> List.concat_map (String.split_on_char ' ')
+          |> Protocol.vars_of_spec)
+        (either params file_params)
+    in
+    { src; db; params }
+  in
+  Term.(const resolve $ query $ file $ schema $ params)
 
 (* [plan_cache] additionally reports the plan cache's per-stripe
    accounting: spliced into the JSON object as a "plan_cache" member (the
@@ -119,7 +271,6 @@ let volume_cmd =
   let disjuncts =
     Arg.(value & opt int 2 & info [ "disjuncts" ] ~doc:"DNF disjunct count.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let run dim disjuncts seed domains stats =
     with_stats stats @@ fun () ->
     let prng = Prng.create seed in
@@ -134,18 +285,15 @@ let volume_cmd =
   Cmd.v
     (Cmd.info "volume"
        ~doc:"Exact volume of a random semi-linear database, two ways.")
-    Term.(const run $ dim $ disjuncts $ seed $ domains_arg $ stats_arg)
+    Term.(
+      const run $ dim $ disjuncts $ seed_arg "Random seed." $ domains_arg
+      $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* approx                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let approx_cmd =
-  let eps = Arg.(value & opt open_unit 0.05 & info [ "eps" ] ~doc:"Accuracy.") in
-  let delta =
-    Arg.(value & opt open_unit 0.1 & info [ "delta" ] ~doc:"Failure probability.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let run eps delta seed domains stats =
     with_stats stats @@ fun () ->
     let prng = Prng.create seed in
@@ -164,7 +312,11 @@ let approx_cmd =
   Cmd.v
     (Cmd.info "approx"
        ~doc:"Theorem 4: sample-based volume approximation of a semi-algebraic set.")
-    Term.(const run $ eps $ delta $ seed $ domains_arg $ stats_arg)
+    Term.(
+      const run
+      $ probability_arg "eps" ~default:0.05 "Accuracy."
+      $ probability_arg "delta" ~default:0.1 "Failure probability."
+      $ seed_arg "Random seed." $ domains_arg $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* vcdim                                                               *)
@@ -197,7 +349,6 @@ let vcdim_cmd =
 (* ------------------------------------------------------------------ *)
 
 let area_cmd =
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let run seed stats =
     with_stats stats @@ fun () ->
     let prng = Prng.create seed in
@@ -222,7 +373,7 @@ let area_cmd =
   Cmd.v
     (Cmd.info "area"
        ~doc:"Section 5: polygon area computed by the FO + POLY + SUM program.")
-    Term.(const run $ seed $ stats_arg)
+    Term.(const run $ seed_arg "Random seed." $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qe                                                                  *)
@@ -264,66 +415,6 @@ let qe_cmd =
 (* analyze                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let schema_of_spec spec =
-  let parts =
-    String.split_on_char ',' spec
-    |> List.concat_map (String.split_on_char ' ')
-    |> List.filter (fun s -> String.trim s <> "")
-  in
-  let parse_one part =
-    match String.split_on_char ':' (String.trim part) with
-    | [ name; arity ] -> (
-        match int_of_string_opt (String.trim arity) with
-        | Some a when a > 0 -> (String.trim name, a)
-        | _ -> failwith (Printf.sprintf "bad arity in schema entry %S" part))
-    | _ -> failwith (Printf.sprintf "bad schema entry %S (want Name:arity)" part)
-  in
-  Schema.of_list (List.map parse_one parts)
-
-(* .cq files: '#' lines are comments, a '# schema: U:1 P:2' line declares
-   relation arities, a '# params: u v' line names the parameter slots of a
-   parameterized query, and the remaining lines joined are the query
-   text. *)
-let read_cq path =
-  let ic = open_in path in
-  let schema = ref None in
-  let params = ref None in
-  let buf = Buffer.create 256 in
-  (try
-     while true do
-       let line = input_line ic in
-       let trimmed = String.trim line in
-       if String.length trimmed > 0 && trimmed.[0] = '#' then (
-         let body = String.sub trimmed 1 (String.length trimmed - 1) in
-         let body = String.trim body in
-         let header key =
-           let k = key ^ ":" in
-           let n = String.length k in
-           if String.length body >= n && String.sub body 0 n = k then
-             Some (String.sub body n (String.length body - n) |> String.trim)
-           else None
-         in
-         match header "schema" with
-         | Some v -> schema := Some v
-         | None -> (
-             match header "params" with
-             | Some v -> params := Some v
-             | None -> ()))
-       else (
-         Buffer.add_string buf line;
-         Buffer.add_char buf ' ')
-     done
-   with End_of_file -> close_in ic);
-  (Buffer.contents buf, !schema, !params)
-
-let vars_of_spec spec =
-  String.split_on_char ',' spec
-  |> List.concat_map (String.split_on_char ' ')
-  |> List.filter_map (fun s ->
-         let s = String.trim s in
-         if s = "" then None else Some (Var.of_string s))
-  |> Array.of_list
-
 let parse_target src =
   match Parser.formula_of_string src with
   | f -> Ok (Cqa_analysis.Analyzer.Formula f)
@@ -334,42 +425,18 @@ let parse_target src =
 
 let analyze_cmd =
   let open Cqa_analysis in
-  let query =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY"
-          ~doc:
-            "Query text: an FO + POLY + SUM formula or term (same syntax as \
-             $(b,qe), plus 'SUM { w | guard | END(y . body) } (x . gamma)').")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:
-            "Read the query from a .cq file: '#' lines are comments, a '# \
-             schema: U:1 P:2' line declares relation arities.")
+  let input =
+    query_input ~verb:"analyze"
+      ~query_doc:
+        "Query text: an FO + POLY + SUM formula or term (same syntax as \
+         $(b,qe), plus 'SUM { w | guard | END(y . body) } (x . gamma)')."
+      ()
   in
   let corpus =
     Arg.(
       value & flag
       & info [ "corpus" ]
           ~doc:"Analyze every built-in workload query instead of one query.")
-  in
-  let schema =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "schema" ] ~docv:"SPEC"
-          ~doc:"Relation arities, e.g. 'U:1,P:2' (overrides the file header).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
-      & info [ "format" ] ~doc:"Output format: $(b,human) or $(b,json).")
   in
   let deny =
     Arg.(
@@ -412,7 +479,7 @@ let analyze_cmd =
              procedure; a refuted rule is an error and the exit status is \
              nonzero.  This is the $(b,make lint) mode.")
   in
-  let run query file corpus schema format deny show_info endpoints threshold
+  let run input corpus format deny show_info endpoints threshold
       explain_rewrites verify_rewrites =
     let options = { Analyzer.endpoints; threshold } in
     (* the rewriter works on formulas; a term target is checked through the
@@ -443,8 +510,8 @@ let analyze_cmd =
                 r.Rewrite.atoms_after Ast.pp r.Rewrite.rewritten
         | `Json ->
             Printf.printf
-              "{\"rewritten\":\"%s\",\"fired\":%d,\"passes\":%d,\"atoms_before\":%d,\"atoms_after\":%d,\"refuted\":%d,\"diagnostics\":%s}\n"
-              (Diagnostic.json_escape
+              "{\"rewritten\":%s,\"fired\":%d,\"passes\":%d,\"atoms_before\":%d,\"atoms_after\":%d,\"refuted\":%d,\"diagnostics\":%s}\n"
+              (Tjson.quote
                  (Format.asprintf "%a" Ast.pp r.Rewrite.rewritten))
               r.Rewrite.fired r.Rewrite.passes r.Rewrite.atoms_before
               r.Rewrite.atoms_after
@@ -478,29 +545,7 @@ let analyze_cmd =
       in
       if not all_ok then exit 1)
     else
-      let src, schema_spec =
-        match (query, file) with
-        | Some q, None -> (q, schema)
-        | None, Some path ->
-            let src, file_schema, _params = read_cq path in
-            (src, if schema <> None then schema else file_schema)
-        | Some _, Some _ ->
-            Format.eprintf "give either QUERY or --file, not both@.";
-            exit 2
-        | None, None ->
-            Format.eprintf "nothing to analyze: give QUERY or --file@.";
-            exit 2
-      in
-      let db =
-        match schema_spec with
-        | None -> None
-        | Some spec -> (
-            match schema_of_spec spec with
-            | s -> Some (Db.empty s)
-            | exception Failure msg ->
-                Format.eprintf "schema error: %s@." msg;
-                exit 2)
-      in
+      let { src; db; _ } = input () in
       match parse_target src with
       | Error (e1, e2) ->
           Format.eprintf "parse error (as formula): %s@." e1;
@@ -514,8 +559,8 @@ let analyze_cmd =
          "Static analysis: fragment classification, scope and \
           range-restriction diagnostics, QE cost projection, dispatch hint.")
     Term.(
-      const run $ query $ file $ corpus $ schema $ format $ deny $ show_info
-      $ endpoints $ threshold $ explain_rewrites $ verify_rewrites)
+      const run $ input $ corpus $ format_arg $ deny $ show_info $ endpoints
+      $ threshold $ explain_rewrites $ verify_rewrites)
 
 (* ------------------------------------------------------------------ *)
 (* equiv: semantic equivalence of two queries                          *)
@@ -536,19 +581,10 @@ let equiv_cmd =
       & info [] ~docv:"QUERY2" ~doc:"Second query.")
   in
   let budget =
-    Arg.(
-      value & opt float infinity
-      & info [ "budget" ] ~docv:"X"
-          ~doc:
-            "Cost cap on the symmetric-difference elimination; past it the \
-             verdict is $(b,unknown) rather than a potentially exponential \
-             computation.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
-      & info [ "format" ] ~doc:"Output format: $(b,human) or $(b,json).")
+    budget_arg
+      "Cost cap on the symmetric-difference elimination; past it the \
+       verdict is $(b,unknown) rather than a potentially exponential \
+       computation."
   in
   let run q1 q2 budget format =
     let parse which s =
@@ -570,15 +606,15 @@ let equiv_cmd =
               let pt =
                 Var.Map.bindings w
                 |> List.map (fun (x, c) ->
-                       Printf.sprintf "\"%s\":\"%s\""
-                         (Diagnostic.json_escape (Var.name x))
+                       Printf.sprintf "%s:\"%s\""
+                         (Tjson.quote (Var.name x))
                          (Q.to_string c))
                 |> String.concat ","
               in
               Printf.sprintf {|{"verdict":"distinct","witness":{%s}}|} pt
           | Equiv.Unknown r ->
-              Printf.sprintf {|{"verdict":"unknown","reason":"%s"}|}
-                (Diagnostic.json_escape r)));
+              Printf.sprintf {|{"verdict":"unknown","reason":%s}|}
+                (Tjson.quote r)));
     match v with
     | Equiv.Equal -> ()
     | Equiv.Distinct _ -> exit 1
@@ -589,116 +625,55 @@ let equiv_cmd =
        ~doc:
          "Decide whether two FO + LIN queries define the same set (exit 0: \
           equal, 1: distinct with a witness point, 3: unknown).")
-    Term.(const run $ q1 $ q2 $ budget $ format)
+    Term.(const run $ q1 $ q2 $ budget $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* vol: cost-guarded query volume                                      *)
 (* ------------------------------------------------------------------ *)
 
 let vol_cmd =
-  let query =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY"
-          ~doc:
-            "FO + POLY + SUM formula whose free variables span the \
-             integration coordinates (same syntax as $(b,analyze)).")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:"Read the query from a .cq file (see $(b,analyze)).")
-  in
-  let schema =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "schema" ] ~docv:"SPEC"
-          ~doc:"Relation arities, e.g. 'U:1,P:2' (overrides the file header).")
+  let input =
+    query_input ~verb:"evaluate"
+      ~query_doc:
+        "FO + POLY + SUM formula whose free variables span the integration \
+         coordinates (same syntax as $(b,analyze))."
+      ()
   in
   let budget =
-    Arg.(
-      value
-      & opt float Dispatch.default_budget
-      & info [ "budget" ] ~docv:"X"
-          ~doc:
-            "Projected-cost budget: when the worst-case \
-             quantifier-elimination projection (Section 3 model, m -> \
-             m^2/4 per eliminated variable) exceeds $(docv), evaluation \
-             degrades to the Theorem 4 sampling estimator instead of \
-             running the exact engine.  Default: unguarded.")
+    budget_arg
+      "Projected-cost budget: when the worst-case quantifier-elimination \
+       projection (Section 3 model, m -> m^2/4 per eliminated variable) \
+       exceeds $(docv), evaluation degrades to the Theorem 4 sampling \
+       estimator instead of running the exact engine.  Default: unguarded."
   in
-  let eps =
-    Arg.(value & opt open_unit 0.1 & info [ "eps" ] ~doc:"Fallback accuracy.")
-  in
-  let delta =
-    Arg.(
-      value & opt open_unit 0.1
-      & info [ "delta" ] ~doc:"Fallback failure probability.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fallback sampling seed.")
-  in
-  let run query file schema budget domains eps delta seed stats =
+  let run input budget domains eps delta seed stats =
     with_stats ~plan_cache:true stats @@ fun () ->
-    let src, schema_spec =
-      match (query, file) with
-      | Some q, None -> (q, schema)
-      | None, Some path ->
-          let src, file_schema, _params = read_cq path in
-          (src, if schema <> None then schema else file_schema)
-      | Some _, Some _ ->
-          Format.eprintf "give either QUERY or --file, not both@.";
-          exit 2
-      | None, None ->
-          Format.eprintf "nothing to evaluate: give QUERY or --file@.";
-          exit 2
-    in
-    let db =
-      match schema_spec with
-      | None -> Db.empty Schema.empty
-      | Some spec -> (
-          match schema_of_spec spec with
-          | s -> Db.empty s
-          | exception Failure msg ->
-              Format.eprintf "schema error: %s@." msg;
-              exit 2)
-    in
-    match Parser.formula_of_string src with
-    | exception Parser.Parse_error msg ->
-        Format.eprintf "parse error: %s@." msg;
-        exit 2
-    | f -> (
-        let coords = Array.of_list (Var.Set.elements (Ast.free_vars f)) in
-        if Array.length coords = 0 then begin
-          Format.eprintf "query has no free variables: VOL_I is 0-dimensional@.";
-          exit 2
-        end;
-        (* compile (or fetch) the plan: on a cache miss the analyzer runs
-           once; repeated invocations of the same shape in one process go
-           straight to the compiled plan *)
-        let plan = Cqa_analysis.Planner.compile ~db ~budget ~coords f in
-        match Exec.volume_guarded ~domains ~budget ~eps ~delta ~seed plan db with
-        | exception Volume_exact.Not_semilinear msg ->
-            Format.eprintf "not evaluable exactly: %s@." msg;
-            exit 1
-        | { Volume_exact.value; engine; projected; budget } ->
-            Format.printf "free variables:";
-            Array.iter (fun v -> Format.printf " %a" Var.pp v) coords;
-            Format.printf "@.";
-            (match Plan.hint plan with
-            | Some hint -> Format.printf "static hint: %a@." Dispatch.pp hint
-            | None -> Format.printf "static hint: (runtime probe)@.");
-            if budget = infinity then
-              Format.printf "projected QE atoms: %.3g (unguarded)@." projected
-            else
-              Format.printf "projected QE atoms: %.3g (budget %.3g)@."
-                projected budget;
-            Format.printf "engine: %a@." Volume_exact.pp_engine engine;
-            Format.printf "VOL_I = %a (~%g)@." Q.pp value (Q.to_float value))
+    let { src; db; _ } = input () in
+    let db = Option.value db ~default:(Db.empty Schema.empty) in
+    let f = formula_or_exit src in
+    let coords = coords_or_exit f in
+    (* compile (or fetch) the plan: on a cache miss the analyzer runs
+       once; repeated invocations of the same shape in one process go
+       straight to the compiled plan *)
+    let plan = Cqa_analysis.Planner.compile ~db ~budget ~coords f in
+    match Exec.volume_guarded ~domains ~budget ~eps ~delta ~seed plan db with
+    | exception Volume_exact.Not_semilinear msg ->
+        Format.eprintf "not evaluable exactly: %s@." msg;
+        exit 1
+    | { Volume_exact.value; engine; projected; budget } ->
+        Format.printf "free variables:";
+        Array.iter (fun v -> Format.printf " %a" Var.pp v) coords;
+        Format.printf "@.";
+        (match Plan.hint plan with
+        | Some hint -> Format.printf "static hint: %a@." Dispatch.pp hint
+        | None -> Format.printf "static hint: (runtime probe)@.");
+        if budget = infinity then
+          Format.printf "projected QE atoms: %.3g (unguarded)@." projected
+        else
+          Format.printf "projected QE atoms: %.3g (budget %.3g)@." projected
+            budget;
+        Format.printf "engine: %a@." Volume_exact.pp_engine engine;
+        Format.printf "VOL_I = %a (~%g)@." Q.pp value (Q.to_float value)
   in
   Cmd.v
     (Cmd.info "vol"
@@ -706,31 +681,19 @@ let vol_cmd =
          "VOL_I of a query's section set, with cost-guarded dispatch: exact \
           (Theorem 3) within $(b,--budget), Theorem 4 sampling beyond it.")
     Term.(
-      const run $ query $ file $ schema $ budget $ domains_arg $ eps $ delta
-      $ seed $ stats_arg)
+      const run $ input $ budget $ domains_arg
+      $ probability_arg "eps" ~default:0.1 "Fallback accuracy."
+      $ probability_arg "delta" ~default:0.1 "Fallback failure probability."
+      $ seed_arg "Fallback sampling seed." $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* plan: compile a query to its plan IR and print it                   *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let plan_to_json plan =
   let vars vs =
     Array.to_list vs
-    |> List.map (fun v -> Printf.sprintf "\"%s\"" (json_escape (Var.name v)))
+    |> List.map (fun v -> Tjson.quote (Var.name v))
     |> String.concat ","
   in
   let profile = Plan.profile plan in
@@ -747,7 +710,7 @@ let plan_to_json plan =
     "{\"id\":%d,\"shape_hash\":%d,\"coords\":[%s],\"params\":[%s],\
      \"hint\":%s,\"atoms\":%d,\"quantifiers\":%d,\"sums\":%d,\
      \"tuple_width\":%d,\"projected_qe_atoms\":%.17g,%s,\"compile_ns\":%.0f,\
-     \"normal\":\"%s\"}"
+     \"normal\":%s}"
     (Plan.id plan) (Plan.shape_hash plan)
     (vars (Plan.coords plan))
     (vars (Plan.params plan))
@@ -757,54 +720,17 @@ let plan_to_json plan =
     profile.Dispatch.atoms profile.Dispatch.quantifiers
     profile.Dispatch.sum_count profile.Dispatch.tuple_width
     (Plan.projected plan) decision (Plan.compile_ns plan)
-    (json_escape (Format.asprintf "%a" Ast.pp (Plan.normal plan)))
+    (Tjson.quote (Format.asprintf "%a" Ast.pp (Plan.normal plan)))
 
 let plan_cmd =
-  let query =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY"
-          ~doc:"FO + POLY + SUM formula to compile (same syntax as $(b,vol)).")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:
-            "Read the query from a .cq file; a '# params: u v' header \
-             declares parameter slots.")
-  in
-  let schema =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "schema" ] ~docv:"SPEC"
-          ~doc:"Relation arities, e.g. 'U:1,P:2' (overrides the file header).")
-  in
-  let params =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "params" ] ~docv:"VARS"
-          ~doc:
-            "Free variables to treat as parameter slots, e.g. 'u v' \
-             (overrides the file header).  The remaining free variables \
-             are the plan's coordinates.")
-  in
-  let budget =
-    Arg.(
-      value
-      & opt float Dispatch.default_budget
-      & info [ "budget" ] ~docv:"X"
-          ~doc:"Projected-cost budget the engine decision is made against.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
-      & info [ "format" ] ~doc:"Output format: $(b,human) or $(b,json).")
+  let input =
+    query_input ~verb:"compile"
+      ~query_doc:"FO + POLY + SUM formula to compile (same syntax as $(b,vol))."
+      ~params_doc:
+        "Free variables to treat as parameter slots, e.g. 'u v' (overrides \
+         the file header).  The remaining free variables are the plan's \
+         coordinates."
+      ()
   in
   let explain =
     Arg.(
@@ -822,63 +748,35 @@ let plan_cmd =
             "Print the plan cache's per-stripe accounting (size, hits, \
              misses, evictions, lock contention).")
   in
-  let run query file schema params budget format explain cache_stats stats =
+  let run input budget format explain cache_stats stats =
     with_stats stats @@ fun () ->
-    let src, schema_spec, params_spec =
-      match (query, file) with
-      | Some q, None -> (q, schema, params)
-      | None, Some path ->
-          let src, file_schema, file_params = read_cq path in
-          ( src,
-            (if schema <> None then schema else file_schema),
-            if params <> None then params else file_params )
-      | Some _, Some _ ->
-          Format.eprintf "give either QUERY or --file, not both@.";
-          exit 2
-      | None, None ->
-          Format.eprintf "nothing to compile: give QUERY or --file@.";
-          exit 2
-    in
-    let db =
-      match schema_spec with
-      | None -> None
-      | Some spec -> (
-          match schema_of_spec spec with
-          | s -> Some (Db.empty s)
-          | exception Failure msg ->
-              Format.eprintf "schema error: %s@." msg;
-              exit 2)
-    in
-    match Parser.formula_of_string src with
-    | exception Parser.Parse_error msg ->
-        Format.eprintf "parse error: %s@." msg;
+    let { src; db; params } = input () in
+    let f = formula_or_exit src in
+    match Cqa_analysis.Planner.compile ?db ~budget ?params f with
+    | exception Invalid_argument msg ->
+        Format.eprintf "plan error: %s@." msg;
         exit 2
-    | f -> (
-        let params = Option.map vars_of_spec params_spec in
-        match Cqa_analysis.Planner.compile ?db ~budget ?params f with
-        | exception Invalid_argument msg ->
-            Format.eprintf "plan error: %s@." msg;
-            exit 2
-        | plan ->
-            (match format with
-            | `Json -> print_endline (plan_to_json plan)
-            | `Human ->
-                Format.printf "%a@." Plan.pp plan;
-                if explain then begin
-                  Format.printf "source: %a@." Ast.pp (Plan.source plan);
-                  Format.printf "normal: %a@." Ast.pp (Plan.normal plan)
-                end);
-            if cache_stats then Format.printf "%a@." Plan.pp_cache_stats ())
+    | plan ->
+        (match format with
+        | `Json -> print_endline (plan_to_json plan)
+        | `Human ->
+            Format.printf "%a@." Plan.pp plan;
+            if explain then begin
+              Format.printf "source: %a@." Ast.pp (Plan.source plan);
+              Format.printf "normal: %a@." Ast.pp (Plan.normal plan)
+            end);
+        if cache_stats then Format.printf "%a@." Plan.pp_cache_stats ()
   in
   Cmd.v
     (Cmd.info "plan"
        ~doc:
          "Compile a query to its plan IR (alpha-normal form, cost profile, \
           engine decision) and print it; repeated shapes in one process hit \
-          the striped plan cache ($(b,CQA_PLAN_CACHE_CAP) bounds it).")
+          the striped plan cache (512 plans).")
     Term.(
-      const run $ query $ file $ schema $ params $ budget $ format $ explain
-      $ cache_stats $ stats_arg)
+      const run $ input
+      $ budget_arg "Projected-cost budget the engine decision is made against."
+      $ format_arg $ explain $ cache_stats $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / client: the concurrent query service                        *)
@@ -946,43 +844,12 @@ let update_cmd =
   in
   let run schema query ops file domains check stats =
     with_stats ~plan_cache:true stats @@ fun () ->
-    let sch =
-      match schema_of_spec schema with
-      | s -> s
-      | exception Failure msg ->
-          Format.eprintf "schema error: %s@." msg;
-          exit 2
-    in
+    let sch = schema_or_exit schema in
     let db = Db.empty sch in
-    let f =
-      match Parser.formula_of_string query with
-      | exception Parser.Parse_error msg ->
-          Format.eprintf "parse error: %s@." msg;
-          exit 2
-      | f -> f
-    in
-    let coords = Array.of_list (Var.Set.elements (Ast.free_vars f)) in
-    if Array.length coords = 0 then begin
-      Format.eprintf "query has no free variables: VOL_I is 0-dimensional@.";
-      exit 2
-    end;
+    let f = formula_or_exit query in
+    let coords = coords_or_exit f in
     let ops =
-      ops
-      @
-      match file with
-      | None -> []
-      | Some path ->
-          let ic = open_in path in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> close_in ic);
-          List.rev !lines
-          |> List.filter (fun l ->
-                 let l = String.trim l in
-                 l <> "" && l.[0] <> '#')
+      ops @ match file with None -> [] | Some path -> snd (read_commented path)
     in
     let failed = ref false in
     let report label =
@@ -1102,14 +969,10 @@ let addr_of_flags port socket =
 
 let serve_cmd =
   let budget =
-    Arg.(
-      value
-      & opt float Dispatch.default_budget
-      & info [ "budget" ] ~docv:"X"
-          ~doc:
-            "Default admission budget: requests whose plan projects over \
-             $(docv) QE atoms are rejected or degraded per \
-             $(b,--admission).  Default: unguarded.")
+    budget_arg
+      "Default admission budget: requests whose plan projects over $(docv) \
+       QE atoms are rejected or degraded per $(b,--admission).  Default: \
+       unguarded."
   in
   let max_clients =
     Arg.(

@@ -114,8 +114,8 @@ let pp_result ?(show_info = false) fmt r =
 
 let result_to_json r =
   Printf.sprintf
-    {|{"query":"%s","hint":"%s","classification":%s,"scope":%s,"cost":%s,"errors":%d,"warnings":%d,"diagnostics":%s}|}
-    (Diagnostic.json_escape (Format.asprintf "%a" pp_target r.target))
+    {|{"query":%s,"hint":"%s","classification":%s,"scope":%s,"cost":%s,"errors":%d,"warnings":%d,"diagnostics":%s}|}
+    (Cqa_telemetry.Tjson.quote (Format.asprintf "%a" pp_target r.target))
     (Dispatch.to_string r.hint)
     (Fragment.classification_to_json r.classification)
     (Scope.report_to_json r.scope)

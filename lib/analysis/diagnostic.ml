@@ -47,30 +47,13 @@ let pp fmt d =
 let pp_list fmt ds =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp fmt ds
 
-(* minimal JSON string escaping; messages may quote query text *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    {|{"severity":"%s","code":"%s","path":"%s","message":"%s"}|}
+  let q = Cqa_telemetry.Tjson.quote in
+  Printf.sprintf {|{"severity":"%s","code":%s,"path":%s,"message":%s}|}
     (severity_to_string d.severity)
-    (json_escape d.code)
-    (json_escape (path_to_string d.path))
-    (json_escape d.message)
+    (q d.code)
+    (q (path_to_string d.path))
+    (q d.message)
 
 let list_to_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
 

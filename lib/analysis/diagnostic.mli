@@ -35,9 +35,6 @@ val pp : Format.formatter -> t -> unit
 
 val pp_list : Format.formatter -> t list -> unit
 
-val json_escape : string -> string
-(** JSON string-literal escaping (shared with {!Analyzer}'s renderer). *)
-
 val to_json : t -> string
 val list_to_json : t list -> string
 

@@ -219,19 +219,11 @@ end
 
 module Cache = Cqa_conc.Striped_tbl.Make (Shape)
 
-let default_cache_cap =
-  match Sys.getenv_opt "CQA_PLAN_CACHE_CAP" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 2 -> n
-      | _ -> 512)
-  | None -> 512
-
 (* Fewer stripes than the memo tables: plans are few and large, and a
    small capacity split 16 ways would leave most stripes unable to cache
    at all. *)
 let cache : t Cache.t =
-  Cache.create ~shards:8 ~name:"plan.cache" ~cap:default_cache_cap
+  Cache.create ~shards:8 ~name:"plan.cache" ~cap:512
     ~evict:Cqa_conc.Striped_tbl.Half ()
 
 let next_id = Atomic.make 0

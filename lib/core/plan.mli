@@ -11,7 +11,7 @@
     alpha-normal form of the formula together with the coordinate and
     parameter orders.  Two alpha-equivalent spellings of a query share one
     plan; distinct shapes get distinct plans.  The cache is capacity-
-    bounded ([CQA_PLAN_CACHE_CAP], default 512, [Half] eviction) and
+    bounded (512 plans, [Half] eviction) and
     reports traffic on the [plan.cache.hit] / [plan.cache.miss] /
     [plan.cache.evict] counters and compile cost on the [plan.compile]
     timer and [plan.compile_ns] counter.  All [plan.*] counters are

@@ -49,34 +49,14 @@ type parsed = { rid : string option; req : request }
 (* JSON rendering                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
+let json_string = J.quote
 let json_q q = json_string (Q.to_string q)
 let json_float f = Printf.sprintf "%.17g" f
 
 let ok ?rid ~op fields =
   let buf = Buffer.create 64 in
   Buffer.add_string buf "{\"ok\":true,\"op\":";
-  Buffer.add_string buf (json_string op);
+  J.add_quoted buf op;
   (match rid with
   | Some r ->
       Buffer.add_string buf ",\"id\":";
@@ -98,7 +78,7 @@ let error ?rid ?op ~code msg =
   (match op with
   | Some o ->
       Buffer.add_string buf ",\"op\":";
-      Buffer.add_string buf (json_string o)
+      J.add_quoted buf o
   | None -> ());
   (match rid with
   | Some r ->
@@ -106,9 +86,9 @@ let error ?rid ?op ~code msg =
       Buffer.add_string buf r
   | None -> ());
   Buffer.add_string buf ",\"error\":{\"code\":";
-  Buffer.add_string buf (json_string code);
+  J.add_quoted buf code;
   Buffer.add_string buf ",\"msg\":";
-  Buffer.add_string buf (json_string msg);
+  J.add_quoted buf msg;
   Buffer.add_string buf "}}";
   Buffer.contents buf
 

@@ -10,7 +10,8 @@
       cache) the query's plan, register it under its plan id for later
       [By_id] requests, and describe it.
     - [{"op":"vol",...}] — [VOL_I] of a query, by text or by registered
-      plan id, with optional parameter bindings in ["args"].  An id
+      plan id, with optional parameter bindings in ["args"].  A request by
+      text compiles through the plan cache but registers no id.  An id
       stands for the questions it was registered with, recompiled against
       the database as it is now; after an update the response may name a
       different plan id, and an id whose questions an update has made
@@ -50,7 +51,9 @@
     [{"ok":false,"error":{"code":C,"msg":M}}] with stable error codes:
     [parse-error], [bad-request], [unknown-op], [unknown-plan],
     [ambiguous-plan], [bad-args], [over-budget], [not-exact], [not-semilinear], [unbounded],
-    [server-busy], [internal-error]. *)
+    [server-busy], [line-too-long], [internal-error].  A request line
+    longer than 1 MiB is answered with [line-too-long] and its connection
+    is closed. *)
 
 open Cqa_arith
 
@@ -113,7 +116,7 @@ val error : ?rid:string -> ?op:string -> code:string -> string -> string
 (** [error ~rid ~op ~code msg]. *)
 
 val json_string : string -> string
-(** Quote and escape. *)
+(** Quote and escape ({!Cqa_telemetry.Tjson.quote}). *)
 
 val json_q : Q.t -> string
 (** The ["p/q"] rendering volumes and bindings travel as. *)

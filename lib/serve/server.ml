@@ -165,10 +165,8 @@ let same_question a b =
   && Array.for_all2 Cqa_logic.Var.equal a.params b.params
   && Plan.equal_formula a.f b.f
 
-(* Compile [q] against its database as it is now and register it under
-   the resulting plan id (once per id). *)
-let compile reg q =
-  let version = Db.version q.qdb in
+(* Compile [q] against its database as it is now. *)
+let compile q =
   match
     Cqa_analysis.Planner.compile ~db:q.qdb ~budget:q.qbudget ~params:q.params
       q.f
@@ -179,30 +177,41 @@ let compile reg q =
         Error
           ( "bad-request",
             "query has no free coordinates: VOL_I is 0-dimensional" )
-      else begin
-        let id = Plan.id p in
-        let entries = Option.value ~default:[] (Hashtbl.find_opt reg.plans id) in
-        (match List.find_opt (fun r -> same_question r.q q) entries with
-        | Some r ->
-            r.plan <- p;
-            r.version <- version
-        | None ->
-            Hashtbl.replace reg.plans id ({ q; plan = p; version } :: entries));
-        Ok p
-      end
+      else Ok p
+
+(* [compile], then register [q] under the resulting plan id (once per
+   id). *)
+let compile_registered reg q =
+  let version = Db.version q.qdb in
+  match compile q with
+  | Error _ as e -> e
+  | Ok p ->
+      let id = Plan.id p in
+      let entries = Option.value ~default:[] (Hashtbl.find_opt reg.plans id) in
+      (match List.find_opt (fun r -> same_question r.q q) entries with
+      | Some r ->
+          r.plan <- p;
+          r.version <- version
+      | None ->
+          Hashtbl.replace reg.plans id ({ q; plan = p; version } :: entries));
+      Ok p
 
 (* The plan a registered question stands for now. *)
 let current reg r =
   if Db.version r.q.qdb = r.version then Ok r.plan
   else
-    match compile reg r.q with
+    match compile_registered reg r.q with
     | Ok p as ok ->
         r.plan <- p;
         r.version <- Db.version r.q.qdb;
         ok
     | Error _ as e -> e
 
-let resolve reg ~budget target =
+(* Only [plan] requests pass [~register:true]: a by-query [vol] compiles
+   through the plan cache but leaves the registry alone, so the registry
+   grows with the plans clients asked to address by id, not with every
+   distinct query text. *)
+let resolve ?(register = false) reg ~budget target =
   match target with
   | P.By_id id -> (
       match Hashtbl.find_opt reg.plans id with
@@ -234,7 +243,7 @@ let resolve reg ~budget target =
           | exception Parser.Parse_error m -> Error ("parse-error", "query: " ^ m)
           | f -> (
               match
-                compile reg
+                (if register then compile_registered reg else compile)
                   { f; params = P.vars_of_spec params; qbudget = budget; qdb = db }
               with
               | Ok p -> Ok (p, db)
@@ -628,7 +637,7 @@ let handle_request st conn line =
           Atomic.set st.stop_now true
       | P.Plan_req { target; budget } -> (
           let budget = Option.value budget ~default:st.cfg.budget in
-          match resolve st.reg ~budget target with
+          match resolve ~register:true st.reg ~budget target with
           | Error (code, msg) -> respond_err conn (P.error ?rid ~op:"plan" ~code msg)
           | Ok (p, _db) -> respond_ok conn (P.ok ?rid ~op:"plan" (plan_fields p)))
       | P.Vol { target; args; opts } -> (
@@ -677,30 +686,47 @@ let handle_request st conn line =
 (* The event loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The longest request line a connection may send, terminator excluded. *)
+let max_line = 1 lsl 20
+
+(* The first ['\n'] of [buf] in [i, n), or [n]. *)
+let rec newline_index buf i n =
+  if i >= n || Bytes.get buf i = '\n' then i else newline_index buf (i + 1) n
+
 (* Read whatever is available and handle every complete line; a partial
-   trailing line stays buffered.  EOF (a clean disconnect, mid-request or
-   not) closes the connection and drops the partial line — queued jobs
-   from this connection still execute, their responses are discarded by
-   [write_line] on the closed socket. *)
+   trailing line stays buffered.  Only the bytes just read are scanned
+   for a terminator.  A line past [max_line] bytes, complete or not, gets
+   one [line-too-long] error and closes the connection.  EOF (a clean
+   disconnect, mid-request or not) closes the connection and drops the
+   partial line — queued jobs from this connection still execute, their
+   responses are discarded by [write_line] on the closed socket. *)
 let handle_readable st read_buf conn =
   match Unix.read conn.fd read_buf 0 (Bytes.length read_buf) with
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn conn
   | 0 -> close_conn conn
   | n ->
-      Buffer.add_subbytes conn.buf read_buf 0 n;
-      let data = Buffer.contents conn.buf in
-      Buffer.clear conn.buf;
-      let parts = String.split_on_char '\n' data in
-      let rec go = function
-        | [] -> ()
-        | [ last ] -> Buffer.add_string conn.buf last
-        | line :: rest ->
-            if String.trim line <> "" && conn.alive then
-              handle_request st conn line;
-            go rest
+      let too_long () =
+        Buffer.reset conn.buf;
+        respond_err conn
+          (P.error ~code:"line-too-long"
+             (Printf.sprintf "request line longer than %d bytes" max_line));
+        close_conn conn
       in
-      go parts
+      let rec go start =
+        let i = newline_index read_buf start n in
+        if Buffer.length conn.buf + (i - start) > max_line then too_long ()
+        else begin
+          Buffer.add_subbytes conn.buf read_buf start (i - start);
+          if i < n then begin
+            let line = Buffer.contents conn.buf in
+            Buffer.clear conn.buf;
+            if String.trim line <> "" then handle_request st conn line;
+            if conn.alive then go (i + 1)
+          end
+        end
+      in
+      go 0
 
 let sockaddr_of = function
   | Tcp (host, port) ->

@@ -235,22 +235,6 @@ let reset () =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json snap =
   let buf = Buffer.create 1024 in
   let sep first = if !first then first := false else Buffer.add_char buf ',' in
@@ -259,26 +243,30 @@ let to_json snap =
   List.iter
     (fun (n, v) ->
       sep first;
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape n) v))
+      Tjson.add_quoted buf n;
+      Buffer.add_string buf (Printf.sprintf ":%d" v))
     snap.counters;
   Buffer.add_string buf "},\"timers\":{";
   let first = ref true in
   List.iter
     (fun (n, s) ->
       sep first;
+      Tjson.add_quoted buf n;
       Buffer.add_string buf
         (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"total_ns\":%.1f,\"min_ns\":%.1f,\"max_ns\":%.1f}"
-           (json_escape n) s.count s.total_ns s.min_ns s.max_ns))
+           ":{\"count\":%d,\"total_ns\":%.1f,\"min_ns\":%.1f,\"max_ns\":%.1f}"
+           s.count s.total_ns s.min_ns s.max_ns))
     snap.timers;
   Buffer.add_string buf "},\"events\":[";
   let first = ref true in
   List.iter
     (fun (n, d) ->
       sep first;
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"detail\":\"%s\"}" (json_escape n)
-           (json_escape d)))
+      Buffer.add_string buf "{\"name\":";
+      Tjson.add_quoted buf n;
+      Buffer.add_string buf ",\"detail\":";
+      Tjson.add_quoted buf d;
+      Buffer.add_char buf '}')
     snap.events;
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -182,3 +182,25 @@ let of_file path =
   let src = really_input_string ic len in
   close_in ic;
   parse src
+
+(* Writing: the one JSON string escaper of the repo. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_quoted buf s;
+  Buffer.contents buf

@@ -1,6 +1,7 @@
 (** Minimal dependency-free JSON reader for the machine-readable outputs
     this repo produces itself: [--stats=json] snapshots, analyzer reports
-    and the BENCH*.json benchmark files.  A strict recursive-descent parser
+    and the BENCH*.json benchmark files; plus the string quoting every
+    JSON writer in the repo shares.  A strict recursive-descent parser
     over the full JSON grammar (numbers are [float]s; [\uXXXX] escapes are
     UTF-8 encoded, surrogate pairs left unrecombined). *)
 
@@ -29,3 +30,13 @@ val keys : t -> string list
 
 val to_float : t -> float option
 val to_string : t -> string option
+
+(** {1 Writing} *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** Append [s] as a JSON string literal: quoted, with the double quote,
+    backslash, newline, CR and tab escaped by name and other control bytes
+    as [\u00XX]. *)
+
+val quote : string -> string
+(** [add_quoted] into a fresh string. *)

@@ -49,7 +49,7 @@ let test_diagnostic () =
   check_int "errors counted" 1 (Diagnostic.count Diagnostic.Error [ i; w; e ]);
   check "has_errors" true (Diagnostic.has_errors [ i; e ]);
   check "json escapes quotes" true
-    (Diagnostic.json_escape {|a"b\c|} = {|a\"b\\c|});
+    (Cqa_telemetry.Tjson.quote {|a"b\c|} = {|"a\"b\\c"|});
   let j = Diagnostic.to_json e in
   check "json well formed" true
     (String.length j > 0 && j.[0] = '{' && j.[String.length j - 1] = '}')

@@ -91,6 +91,24 @@ let test_protocol_errors () =
   check "still serving after errors" true
     (is_ok (Client.request c {|{"op":"ping"}|}))
 
+(* A 2 MiB line with no terminator is over the 1 MiB cap: its sender gets
+   one line-too-long error and a close, and other clients are served. *)
+let test_line_too_long () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun other ->
+  (with_client addr @@ fun c ->
+   (* the server closes mid-send, so the write may fail *)
+   (try Client.send_raw c (String.make (2 lsl 20) 'x')
+    with Unix.Unix_error _ -> ());
+   check_str "over-long line refused" "line-too-long"
+     (error_code (Client.recv_line c));
+   check "connection closed after the error" true
+     (match Client.recv_line c with
+     | _ -> false
+     | exception (End_of_file | Unix.Unix_error _) -> true));
+  check "other client still served" true
+    (is_ok (Client.request other {|{"op":"ping"}|}))
+
 let test_ping_stats () =
   with_server @@ fun addr ->
   with_client addr @@ fun c ->
@@ -131,6 +149,23 @@ let test_vol_roundtrip () =
     Client.request c (Printf.sprintf {|{"op":"vol","plan":%d}|} pid)
   in
   check_str "By_id volume identical" "1/2" (str_field "vol" by_id)
+
+(* Only a plan request registers an id: a by-query vol names its plan id
+   but leaves the registry alone. *)
+let test_by_query_registers_nothing () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun c ->
+  let q = {|"query":"0 <= x /\\ x <= 1 /\\ 0 <= y /\\ y <= 2 * x"|} in
+  let req op target =
+    Client.request c (Printf.sprintf {|{"op":"%s",%s}|} op target)
+  in
+  let pid = int_field "plan" (req "vol" q) in
+  let by_id () = req "vol" (Printf.sprintf {|"plan":%d|} pid) in
+  check_str "by-query vol registered no id" "unknown-plan"
+    (error_code (by_id ()));
+  check_int "plan request names the same id" pid
+    (int_field "plan" (req "plan" q));
+  check_str "registered id answers" "1" (str_field "vol" (by_id ()))
 
 (* The planner rewrites before keying the cache, so syntactically distinct
    but semantically equal spellings resolve to one server-side plan id. *)
@@ -483,10 +518,14 @@ let () =
     [
       ( "protocol",
         [ Alcotest.test_case "structured errors" `Quick test_protocol_errors;
-          Alcotest.test_case "ping and stats" `Quick test_ping_stats ] );
+          Alcotest.test_case "ping and stats" `Quick test_ping_stats;
+          Alcotest.test_case "over-long line refused" `Quick
+            test_line_too_long ] );
       ( "volumes",
         [ Alcotest.test_case "vol by query and plan id" `Quick
             test_vol_roundtrip;
+          Alcotest.test_case "by-query vol registers no id" `Quick
+            test_by_query_registers_nothing;
           Alcotest.test_case "rewritten spellings share a plan" `Quick
             test_rewritten_plan_sharing;
           Alcotest.test_case "parameterized vol, vol_batch, reset" `Quick
