@@ -34,14 +34,23 @@ let stats_arg =
    small workloads. *)
 let default_domains = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
 
+(* An empty value -- what a CI matrix exports for "no pinned count" --
+   means the default, as if the flag and CQA_DOMAINS were unset. *)
+let domains_conv =
+  Arg.conv
+    ( (fun s -> if s = "" then Ok default_domains else Arg.conv_parser Arg.int s),
+      Arg.conv_printer Arg.int )
+
 let domains_arg =
   let env =
     Cmd.Env.info "CQA_DOMAINS"
-      ~doc:"Default for $(b,--domains) on every command that takes it."
+      ~doc:
+        "Default for $(b,--domains) on every command that takes it; an \
+         empty value counts as unset."
   in
   Arg.(
     value
-    & opt int default_domains
+    & opt domains_conv default_domains
     & info [ "domains" ] ~docv:"K" ~env
         ~doc:
           (Printf.sprintf

@@ -37,7 +37,7 @@ let () =
 
   (* one shared sample, drawn once by the witness operator *)
   let prng = Prng.create 2026 in
-  let sample = Approx_volume.sample_points ~prng ~dim:2 m in
+  let sample = Approx_volume.points ~dim:2 (Approx_volume.sample_points ~prng ~dim:2 m) in
 
   Format.printf "@.coverage as the sensor power (radius scale) varies:@.";
   Format.printf "| scale | estimated covered fraction |@.";
@@ -53,7 +53,9 @@ let () =
   let c = coverage Q.one in
   let est = Approx_volume.fraction_in sample (Semialg.mem c) in
   let fresh = Prng.create 9999 in
-  let big = Approx_volume.sample_points ~prng:fresh ~dim:2 (4 * m) in
+  let big =
+    Approx_volume.points ~dim:2 (Approx_volume.sample_points ~prng:fresh ~dim:2 (4 * m))
+  in
   let est2 = Approx_volume.fraction_in big (Semialg.mem c) in
   Format.printf "@.scale 1: shared-sample %.4f vs independent 4M-sample %.4f (|diff| = %.4f < 2 eps)@."
     (Q.to_float est) (Q.to_float est2)

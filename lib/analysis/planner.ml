@@ -66,6 +66,8 @@ let clear_memo () =
       Hashtbl.reset memo;
       memo_size := 0)
 
+let memo_entries () = Mutex.protect memo_lock (fun () -> !memo_size)
+
 let compile ?db ?options ?budget ?params ?coords f =
   let budget' = Option.value budget ~default:Dispatch.default_budget in
   let params' = Option.value params ~default:[||] in

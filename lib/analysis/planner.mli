@@ -39,5 +39,10 @@ val compile :
     only plan-lookup caches. *)
 
 val clear_memo : unit -> unit
-(** Drop the front-line plan memo (benchmarks; {!Cqa_core.Plan.clear_cache}
-    already invalidates it logically via the generation stamp). *)
+(** Drop the front-line plan memo (benchmarks and the server's [reset];
+    {!Cqa_core.Plan.clear_cache} already invalidates it logically via the
+    generation stamp, but only dropping it releases the plans and their
+    retained samples). *)
+
+val memo_entries : unit -> int
+(** Entries in the front-line plan memo (diagnostic). *)

@@ -29,7 +29,8 @@ let tm_reuse_samples = T.counter "exec.reuse.samples"
 type set_state = S_unknown | S_ok of Semilinear.t | S_no of string
 type fn_state = F_unknown | F_ok of Volume_param.t | F_no
 
-(* A retained Theorem 4 sample: the drawn points plus their membership
+(* A retained Theorem 4 sample: the drawn points (flat 2^53-numerators,
+   [Approx_volume.sample_points]'s layout) plus their membership
    bitmap.  [fraction_of_bits sm_bits] is exactly the estimate the
    one-shot [Volume_exact.sampler_estimate] computes for the same
    (eps, delta, seed, domains); after an update only the points inside
@@ -40,7 +41,7 @@ type sampler = {
   sm_seed : int;
   sm_domains : int;
   sm_m : int;
-  sm_pts : Q.t array array;
+  sm_pts : int array;
   mutable sm_bits : Bytes.t;
 }
 
@@ -144,28 +145,50 @@ let occurrences layout f =
 (* Membership at a point can only change if some consulted tuple of the
    edited relation lies in the edited region, hence inside its bounding
    box.  An occurrence consults tuples whose coordinates at layout-bound
-   positions equal the point's; every other position is free. *)
-let point_dirty occs (ch : Db.change) pt =
-  if ch.Db.delta_empty then false
-  else
-    match ch.Db.delta_box with
-    | None -> List.exists (fun (r, _) -> r = ch.Db.rel) occs
-    | Some bb ->
-        List.exists
+   positions equal the point's; every other position is free.  Each
+   change contributes one integer box per occurrence of its relation:
+   [(slot, klo, khi)] constraints on a sample numerator [k], from
+   [lo <= k/2^53 <=> ceil (lo*2^53) <= k] and [k/2^53 <= hi <=>
+   k <= floor (hi*2^53)].  A box without constraints holds every point. *)
+let two53 = Q.of_bigint (Bigint.shift_left Bigint.one 53)
+
+let numerator_bound round q =
+  let b = round (Q.mul q two53) in
+  if Bigint.sign b < 0 then -1
+  else match Bigint.to_int_opt b with Some k when k < 1 lsl 53 -> k | _ -> 1 lsl 53
+
+let dirty_boxes occs chs =
+  List.concat_map
+    (fun (ch : Db.change) ->
+      if ch.Db.delta_empty then []
+      else
+        List.filter_map
           (fun (r, poss) ->
-            r = ch.Db.rel
-            &&
-            let ok = ref true in
-            List.iteri
-              (fun j p ->
-                match p with
-                | Some k when j < Array.length bb ->
-                    let lo, hi = bb.(j) in
-                    if not (Q.leq lo pt.(k) && Q.leq pt.(k) hi) then ok := false
-                | _ -> ())
-              poss;
-            !ok)
-          occs
+            if r <> ch.Db.rel then None
+            else
+              match ch.Db.delta_box with
+              | None -> Some [||]
+              | Some bb ->
+                  Some
+                    (List.concat
+                       (List.mapi
+                          (fun j p ->
+                            match p with
+                            | Some k when j < Array.length bb ->
+                                let lo, hi = bb.(j) in
+                                [ (k, numerator_bound Q.ceil lo, numerator_bound Q.floor hi) ]
+                            | _ -> [])
+                          poss)
+                    |> Array.of_list))
+          occs)
+    chs
+
+let in_box ks base box =
+  Array.for_all
+    (fun (k, lo, hi) ->
+      let x = ks.(base + k) in
+      lo <= x && x <= hi)
+    box
 
 (* Dirty extent of the last layout axis: sections at [t] outside the slab
    cannot consult an edited tuple, so their membership -- and hence their
@@ -225,7 +248,7 @@ let invalidate_full st =
   if T.enabled () then begin
     T.add tm_inv_cells (count_pieces st.fn + count_pieces st.fn_clamped);
     T.add tm_inv_samples
-      (List.fold_left (fun n sm -> n + Array.length sm.sm_pts) 0 st.samplers)
+      (List.fold_left (fun n sm -> n + sm.sm_m) 0 st.samplers)
   end;
   st.set <- S_unknown;
   st.fn <- F_unknown;
@@ -250,22 +273,24 @@ let rescore_samplers ~occs ~relevant p db st =
   match st.samplers with
   | [] -> ()
   | samplers ->
-      let mem = Volume_approx.member db (layout p) (Plan.normal p) in
+      let lay = layout p in
+      let dim = Array.length lay in
+      let boxes = dirty_boxes occs relevant in
+      let o = Volume_approx.compile db lay (Plan.normal p) in
       List.iter
         (fun sm ->
-          let n = Array.length sm.sm_pts in
+          let mem = Volume_approx.test o sm.sm_pts in
           let bits = Bytes.copy sm.sm_bits in
           let dirty_n = ref 0 in
-          for i = 0 to n - 1 do
-            let pt = sm.sm_pts.(i) in
-            if List.exists (fun ch -> point_dirty occs ch pt) relevant then begin
+          for i = 0 to sm.sm_m - 1 do
+            if List.exists (in_box sm.sm_pts (i * dim)) boxes then begin
               incr dirty_n;
-              Bytes.set bits i (if mem pt then '\001' else '\000')
+              Bytes.set bits i (if mem i then '\001' else '\000')
             end
           done;
           if T.enabled () then begin
             T.add tm_inv_samples !dirty_n;
-            T.add tm_reuse_samples (n - !dirty_n)
+            T.add tm_reuse_samples (sm.sm_m - !dirty_n)
           end;
           sm.sm_bits <- bits)
         samplers
@@ -535,14 +560,15 @@ let volume_batch ?(domains = 1) p db bindings =
    an updated database only re-tests the points its deltas touch.  The
    size and the draw are [Volume_exact.sampler_estimate]'s own, so the
    value matches the one-shot estimator bit for bit. *)
+let same_knobs ~domains ~eps ~delta ~seed sm =
+  sm.sm_eps = eps && sm.sm_delta = delta && sm.sm_seed = seed
+  && sm.sm_domains = domains
+
 let sampled_estimate ~domains ~eps ~delta ~seed p db =
   let st = state p db in
   let coords = Plan.coords p in
   let m = Volume_exact.sampler_size ~eps ~delta coords in
-  let key_eq sm =
-    sm.sm_eps = eps && sm.sm_delta = delta && sm.sm_seed = seed
-    && sm.sm_domains = domains
-  in
+  let key_eq = same_knobs ~domains ~eps ~delta ~seed in
   let promote sm =
     st.samplers <- sm :: List.filter (fun x -> not (x == sm)) st.samplers
   in
@@ -558,7 +584,7 @@ let sampled_estimate ~domains ~eps ~delta ~seed p db =
     match cached with
     | Some sm -> sm.sm_bits
     | None ->
-        let pts, bits =
+        let ks, bits =
           Volume_exact.sampler_draw ~domains ~seed ~m db coords (Plan.normal p)
         in
         let sm =
@@ -568,7 +594,7 @@ let sampled_estimate ~domains ~eps ~delta ~seed p db =
             sm_seed = seed;
             sm_domains = domains;
             sm_m = m;
-            sm_pts = pts;
+            sm_pts = ks;
             sm_bits = bits;
           }
         in
@@ -585,6 +611,14 @@ let sampled_estimate ~domains ~eps ~delta ~seed p db =
                 bits)
   in
   (Cqa_vc.Approx_volume.fraction_of_bits bits, m)
+
+let retained_bits ?(domains = 1) ~eps ~delta ~seed p db =
+  match Plan.lookup_state p db with
+  | Some (St st) ->
+      Plan.with_lock p (fun () ->
+          List.find_opt (same_knobs ~domains ~eps ~delta ~seed) st.samplers
+          |> Option.map (fun sm -> Bytes.copy sm.sm_bits))
+  | _ -> None
 
 let volume_guarded ?(domains = 1) ?budget ?(eps = 0.1) ?(delta = 0.1)
     ?(seed = 1) p db =

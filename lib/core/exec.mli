@@ -18,7 +18,9 @@
     deltas' last-axis slab drives {!Volume_param.refresh}, so only the
     Lemma 5 breakpoint intervals the slab touches are re-interpolated,
     and retained Theorem 4 samples ({!volume_guarded}'s fallback) only
-    re-test the points inside the delta boxes.  Every value is an exact
+    re-test the points inside the delta boxes (integer thresholds on the
+    flat [2^53]-numerators, computed once per change), with the query's
+    oracle compiled once per settle ({!Volume_approx.compile}).  Every value is an exact
     rational recomputed from reused facts that provably still hold, so
     after any update sequence the answers are byte-identical to a cold
     recompute on the updated database.  A reader that falls behind the
@@ -91,3 +93,16 @@ val volume_guarded :
     @raise Volume_exact.Not_semilinear when the exact engine was selected
     but the query is not linear-reducible.
     @raise Invalid_argument if the plan has parameter slots. *)
+
+val retained_bits :
+  ?domains:int ->
+  eps:float ->
+  delta:float ->
+  seed:int ->
+  Plan.t ->
+  Db.t ->
+  Bytes.t option
+(** A copy of the membership bitmap {!volume_guarded} retains for these
+    knobs on this database ([domains] defaults to [1]), as last settled;
+    [None] when no such sample is retained.  Diagnostic: it neither
+    draws nor settles. *)

@@ -439,8 +439,10 @@ let sampler_size ~eps ~delta coords =
 let sampler_draw ?(domains = 1) ~seed ~m db coords f =
   let prng = Cqa_vc.Prng.create seed in
   let dim = Array.length coords in
-  let pts = Cqa_vc.Approx_volume.sample_points ~domains ~prng ~dim m in
-  (pts, Cqa_vc.Approx_volume.score ~domains (Volume_approx.member db coords f) pts)
+  let ks = Cqa_vc.Approx_volume.sample_points ~domains ~prng ~dim m in
+  ( ks,
+    Cqa_vc.Approx_volume.score ~domains ~n:m
+      (Volume_approx.test (Volume_approx.compile db coords f) ks) )
 
 let sampler_estimate ?domains ~eps ~delta ~seed db coords f =
   let m = sampler_size ~eps ~delta coords in

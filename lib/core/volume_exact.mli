@@ -118,10 +118,11 @@ val sampler_draw :
   Db.t ->
   Var.t array ->
   Ast.formula ->
-  Q.t array array * Bytes.t
+  int array * Bytes.t
 (** The [m] points {!Cqa_vc.Approx_volume.sample_points} draws from a
-    PRNG freshly seeded with [seed], and their membership bitmap for the
-    query. *)
+    PRNG freshly seeded with [seed] (flat [2^53]-numerators), and their
+    membership bitmap for the query under {!Volume_approx.compile}'s
+    oracle. *)
 
 val sampler_estimate :
   ?domains:int ->

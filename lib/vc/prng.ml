@@ -23,7 +23,9 @@ let float t = ldexp (float_of_int (bits53 t)) (-53)
 
 let two53 = Bigint.shift_left Bigint.one 53
 
-let q_unit t = Q.make (Bigint.of_int (bits53 t)) two53
+let q_of_bits53 k = Q.make (Bigint.of_int k) two53
+
+let q_unit t = q_of_bits53 (bits53 t)
 
 let q_in t lo hi = Q.add lo (Q.mul (q_unit t) (Q.sub hi lo))
 

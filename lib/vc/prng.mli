@@ -21,7 +21,12 @@ val float : t -> float
 (** Uniform in [0, 1). *)
 
 val q_unit : t -> Q.t
-(** Uniform dyadic rational in [0, 1) with denominator 2^53. *)
+(** Uniform dyadic rational in [0, 1) with denominator 2^53:
+    [q_of_bits53 (bits53 t)]. *)
+
+val q_of_bits53 : int -> Q.t
+(** [k / 2^53], the unit-interval rational a {!bits53} draw [k] stands
+    for. *)
 
 val q_in : t -> Q.t -> Q.t -> Q.t
 (** Uniform dyadic-grid rational in [lo, hi). *)

@@ -408,6 +408,42 @@ let test_volume_approx_query () =
       check "family accuracy" true (abs_float (Q.to_float est -. truth) < 0.05))
     fam
 
+(* The compiled oracle decides an atom from doubles only beyond its error
+   bound: a sample point exactly on the atom's boundary takes the exact
+   fallback (and gets Eval.holds's answer), a point off it does not. *)
+let test_oracle_fallback () =
+  let module T = Cqa_telemetry.Telemetry in
+  let counter name = Option.value ~default:0 (List.assoc_opt name (T.snapshot ()).T.counters) in
+  T.reset ();
+  T.enable ();
+  Fun.protect ~finally:T.disable @@ fun () ->
+  let half = 1 lsl 52 and quarter = 1 lsl 51 in
+  let ks = [| half; half; quarter; half |] in
+  let decide text =
+    let f = Parser.formula_of_string text in
+    let vs = [| Var.of_string "x"; Var.of_string "y" |] in
+    let test = Volume_approx.test (Volume_approx.compile db vs f) ks in
+    (test 0, test 1)
+  in
+  let cases =
+    [ ("x + y <= 1", (true, true));
+      ("x + y < 1", (false, true));
+      ("x * y = 1/4", (true, false));
+      ("3 * x = 3/2", (true, false));
+      ("P(x, y) /\\ x + y >= 1", (true, false)) ]
+  in
+  List.iter
+    (fun (text, want) ->
+      let sure0 = counter "vc.filter.sure" and fb0 = counter "vc.filter.fallback" in
+      check text true (decide text = want);
+      if Cqa_linear.Flatrow.enabled () then begin
+        check (text ^ ": the boundary point fell back") true (counter "vc.filter.fallback" > fb0);
+        check (text ^ ": the other point was sure") true (counter "vc.filter.sure" > sure0)
+      end
+      else check (text ^ ": exact kernel, no filter decisions") true
+          (counter "vc.filter.fallback" = fb0 && counter "vc.filter.sure" = sure0))
+    cases
+
 let test_volume_approx_domains () =
   (* the parallel sampler drives Eval.holds (and the QE memo behind it)
      from several domains at once: for a fixed seed and domain count the
@@ -1032,6 +1068,7 @@ let () =
           Alcotest.test_case "approx semialg" `Quick test_volume_approx;
           Alcotest.test_case "approx query" `Quick test_volume_approx_query;
           Alcotest.test_case "approx domains" `Quick test_volume_approx_domains;
+          Alcotest.test_case "oracle exact fallback" `Quick test_oracle_fallback;
           Alcotest.test_case "exact volume domains" `Quick test_volume_domains;
           Alcotest.test_case "kernel ablation byte-identical" `Quick
             test_volume_kernel_ablation;

@@ -299,6 +299,117 @@ let prop_exact_oracles_agree =
         (Fourier_motzkin.satisfiable_conj_fm conj)
         (Fourier_motzkin.satisfiable_conj_simplex conj))
 
+(* ------------------------------------------------------------------ *)
+(* The compiled sampler oracle against Eval.holds                      *)
+(* ------------------------------------------------------------------ *)
+
+(* R: a box and a hostile half-plane piece; F: finite, with points on
+   the 1/8 grid the sample generator below also hits. *)
+let oracle_db =
+  let schema = Schema.of_list [ ("R", 2); ("F", 2) ] in
+  let region text =
+    Eval.eval_set db0 (Semilinear.default_vars 2) (Parser.formula_of_string text)
+  in
+  Db.of_list schema
+    [
+      ( "R",
+        Db.Semilin
+          (Semilinear.union
+             (region "0 <= x0 /\\ x0 <= 1/2 /\\ 1/3 <= x1 /\\ x1 <= 1")
+             (region "3/7 * x0 + 5/11 * x1 <= 2/3 /\\ x1 >= 1/8")) );
+      ( "F",
+        Db.Finite
+          [ [| Q.half; Q.of_ints 1 4 |]; [| Q.of_ints 1 8; Q.of_ints 7 8 |]; [| Q.of_ints 1 3; Q.of_ints 1 3 |] ] );
+    ]
+
+(* constants on the 1/8 grid put grid points exactly on the atom *)
+let gen_grid = Gen.map (fun k -> Q.of_ints k 8) (Gen.int_range 0 8)
+let gen_oracle_const = Gen.frequency [ (2, gen_hostile); (2, gen_grid) ]
+
+(* Atoms over x, y; [pin] binds x, y to the case's first sample point,
+   and some atoms get their constant from it, so that point lies exactly
+   on the atom's zero set: with non-double coefficients the double
+   evaluation there leaves a rounding residual, which only the error
+   bound keeps from deciding the atom. *)
+let gen_oracle_atom pin =
+  let open Gen in
+  let c = map (fun q -> Ast.Const q) gen_oracle_const in
+  let v = oneofl [ Ast.TVar xx; Ast.TVar yy ] in
+  let term =
+    frequency
+      [
+        (3, map4 (fun a x b y -> Ast.Add (Ast.Mul (a, x), Ast.Mul (b, y))) c v c v);
+        (2, map3 (fun a x y -> Ast.Mul (a, Ast.Mul (x, y))) c v v);
+        ( 1,
+          map2
+            (fun x y -> Ast.Add (Ast.Mul (x, x), Ast.Mul (y, y)))
+            (return (Ast.TVar xx)) (return (Ast.TVar yy)) );
+      ]
+  in
+  frequency
+    [
+      (4, map3 (fun op t k -> Ast.Cmp (op, t, k)) gen_cmp term c);
+      ( 3,
+        map2
+          (fun op t -> Ast.Cmp (op, t, Ast.Const (Eval.eval_term oracle_db pin t)))
+          gen_cmp term );
+      (2, map2 (fun a b -> Ast.Rel ("R", [ a; b ])) (oneofl [ xx; yy ]) (oneofl [ xx; yy ]));
+      (1, return (Ast.Rel ("F", [ xx; yy ])));
+      ( 1,
+        return
+          (Ast.Exists (zz, Parser.formula_of_string "R(x, z) /\\ z <= y")) );
+    ]
+
+let gen_oracle_formula pin =
+  let open Gen in
+  sized_size (int_range 1 6) @@ fix (fun self n ->
+      if n <= 1 then gen_oracle_atom pin
+      else
+        frequency
+          [
+            (2, gen_oracle_atom pin);
+            (3, map2 (fun a b -> Ast.And (a, b)) (self (n / 2)) (self (n / 2)));
+            (3, map2 (fun a b -> Ast.Or (a, b)) (self (n / 2)) (self (n / 2)));
+            (1, map (fun a -> Ast.Not a) (self (n - 1)));
+          ])
+
+(* flat sample numerators: uniform 53-bit draws, or the 1/8 grid *)
+let gen_numerator =
+  Gen.frequency
+    [ (1, Gen.int_range 0 ((1 lsl 53) - 1)); (1, Gen.map (fun k -> k lsl 50) (Gen.int_range 0 7)) ]
+
+let env_at ks j =
+  let pt = Cqa_vc.Approx_volume.point ~dim:2 ks j in
+  Var.Map.(add xx pt.(0) (add yy pt.(1) empty))
+
+let gen_oracle_case =
+  let open Gen in
+  let* ks = map Array.of_list (list_size (map (fun n -> 2 * n) (int_range 1 8)) gen_numerator) in
+  let* f = gen_oracle_formula (env_at ks 0) in
+  return (f, ks)
+
+let print_oracle_case (f, ks) =
+  Printf.sprintf "%s at %s" (print_formula f)
+    (String.concat " " (Array.to_list (Array.map string_of_int ks)))
+
+(* the oracle's contract: under either kernel, every sample point gets
+   exactly Eval.holds's answer *)
+let prop_oracle_matches_holds =
+  Test.make ~name:"compiled oracle = Eval.holds on sample points" ~count:(2 * count)
+    ~print:print_oracle_case gen_oracle_case (fun (f, ks) ->
+      let kernel = Flatrow.enabled () in
+      Fun.protect ~finally:(fun () -> Flatrow.set_kernel kernel) @@ fun () ->
+      List.for_all
+        (fun filtered ->
+          Flatrow.set_kernel filtered;
+          let test = Volume_approx.test (Volume_approx.compile oracle_db [| xx; yy |] f) ks in
+          List.for_all
+            (fun j ->
+              Bool.equal (test j) (Eval.holds oracle_db (env_at ks j) f)
+              || Test.fail_reportf "point %d differs (filtered kernel: %b)" j filtered)
+            (List.init (Array.length ks / 2) Fun.id))
+        [ true; false ])
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -312,5 +423,6 @@ let () =
       qsuite "volume"
         [ prop_volume_agreement; prop_guarded_agreement; prop_sampler_within_eps ];
       qsuite "updates" [ prop_incremental_matches_recompute ];
-      qsuite "kernel" [ prop_filter_sound; prop_exact_oracles_agree ];
+      qsuite "kernel"
+        [ prop_filter_sound; prop_exact_oracles_agree; prop_oracle_matches_holds ];
     ]

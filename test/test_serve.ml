@@ -234,6 +234,17 @@ let test_reset_clears_row_cache () =
   check "reset ok" true (is_ok (Client.request c {|{"op":"reset"}|}));
   check_int "row cache empty after reset" 0 (Cqa_linear.Flatrow.cache_size ())
 
+(* the generation stamp hides stale plan-memo entries, but only dropping
+   them releases the plans (and their retained samples) *)
+let test_reset_clears_plan_memo () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun c ->
+  check "vol ok" true
+    (is_ok (Client.request c {|{"op":"vol","query":"0 <= x /\\ x <= 1 /\\ y <= x /\\ 0 <= y"}|}));
+  check "the vol filled the plan memo" true (Cqa_analysis.Planner.memo_entries () > 0);
+  check "reset ok" true (is_ok (Client.request c {|{"op":"reset"}|}));
+  check_int "plan memo empty after reset" 0 (Cqa_analysis.Planner.memo_entries ())
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -531,7 +542,9 @@ let () =
           Alcotest.test_case "parameterized vol, vol_batch, reset" `Quick
             test_parameterized_vol_batch_reset;
           Alcotest.test_case "reset clears the row cache" `Quick
-            test_reset_clears_row_cache ] );
+            test_reset_clears_row_cache;
+          Alcotest.test_case "reset clears the plan memo" `Quick
+            test_reset_clears_plan_memo ] );
       ( "admission",
         [ Alcotest.test_case "over-budget rejection" `Quick
             test_admission_reject;

@@ -251,6 +251,53 @@ let test_sampler_rescore () =
   (* warm repeat: the retained sample answers again, identically *)
   check "warm repeat is stable" true (Q.equal (guarded ()) (oneshot ()))
 
+(* The pre-oracle definition of a sample bitmap: [Eval.holds] at each
+   drawn point as a rational, scored on the same chunks. *)
+let reference_bits ~domains ~seed ~m db f =
+  let ks = Cqa_vc.Approx_volume.sample_points ~domains ~prng:(Cqa_vc.Prng.create seed) ~dim:2 m in
+  Cqa_vc.Approx_volume.score ~domains ~n:m (fun j ->
+      let pt = Cqa_vc.Approx_volume.point ~dim:2 ks j in
+      Eval.holds db (Var.Map.of_seq (Array.to_seq (Array.combine coords pt))) f)
+
+(* Retained bits, one-shot bits and the Eval.holds reference agree at
+   every domain count, before and after an update that re-tests part of
+   the retained sample. *)
+let test_retained_bits_domains () =
+  T.reset ();
+  T.enable ();
+  Fun.protect ~finally:T.disable @@ fun () ->
+  let f = Parser.formula_of_string "(R(x, y) \\/ R(y, x)) /\\ x * y <= 1/5" in
+  let db = Db.empty schema_r2 in
+  ignore (Db.apply_update db (Db.Insert ("R", box2 (Q.zero, qq 1 2) (Q.zero, Q.one))));
+  let eps, delta, seed = (0.2, 0.2, 5) in
+  let m = Volume_exact.sampler_size ~eps ~delta coords in
+  let p = Cqa_analysis.Planner.compile ~db ~coords ~budget:0. f in
+  let agree what =
+    List.iter
+      (fun domains ->
+        let tag = Printf.sprintf "%s at %d domains" what domains in
+        let est = (Exec.volume_guarded ~domains ~budget:0. ~eps ~delta ~seed p db).Volume_exact.value in
+        let _, oneshot = Volume_exact.sampler_draw ~domains ~seed ~m db coords f in
+        check ("one-shot = Eval.holds reference " ^ tag) true
+          (Bytes.equal oneshot (reference_bits ~domains ~seed ~m db f));
+        check ("estimate = one-shot " ^ tag) true
+          (Q.equal est (Cqa_vc.Approx_volume.fraction_of_bits oneshot));
+        match Exec.retained_bits ~domains ~eps ~delta ~seed p db with
+        | Some bits -> check ("retained = one-shot " ^ tag) true (Bytes.equal bits oneshot)
+        | None -> Alcotest.fail ("no retained sample " ^ tag))
+      [ 1; 2; 4 ]
+  in
+  agree "cold";
+  let reuse0 = counter_value "exec.reuse.samples" in
+  let inv0 = counter_value "exec.invalidate.samples" in
+  ignore (Db.apply_update db (Db.Insert ("R", box2 (qq 1 2, qq 3 4) (Q.zero, qq 1 4))));
+  agree "after an insert";
+  check "the insert re-tested some retained points" true
+    (counter_value "exec.invalidate.samples" > inv0);
+  check "and kept the others" true (counter_value "exec.reuse.samples" > reuse0);
+  ignore (Db.apply_update db (Db.Remove ("R", box2 (Q.zero, qq 1 4) (qq 1 4, qq 1 2))));
+  agree "after a remove"
+
 (* ------------------------------------------------------------------ *)
 (* Memos above the executor see in-place updates                       *)
 (* ------------------------------------------------------------------ *)
@@ -309,6 +356,8 @@ let () =
             test_mru_invalidation;
           Alcotest.test_case "retained-sample re-scoring" `Quick
             test_sampler_rescore;
+          Alcotest.test_case "retained bits at domains 1/2/4" `Quick
+            test_retained_bits_domains;
         ] );
       ( "memos",
         [

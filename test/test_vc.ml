@@ -146,7 +146,7 @@ let test_fraction_in () =
 let test_monte_carlo_box () =
   (* estimate the volume of [0, 1/2]^2 = 1/4 *)
   let prng = Prng.create 9 in
-  let sample = Approx_volume.sample_points ~prng ~dim:2 4000 in
+  let sample = Approx_volume.points ~dim:2 (Approx_volume.sample_points ~prng ~dim:2 4000) in
   let est =
     Approx_volume.fraction_in sample (fun p ->
         Q.leq p.(0) Q.half && Q.leq p.(1) Q.half)
@@ -162,7 +162,7 @@ let test_monte_carlo_box () =
 
 let test_estimate_family_shared_sample () =
   let prng = Prng.create 21 in
-  let sample = Approx_volume.sample_points ~prng ~dim:1 3000 in
+  let sample = Approx_volume.points ~dim:1 (Approx_volume.sample_points ~prng ~dim:1 3000) in
   let params = [ qq 1 4; Q.half; qq 3 4 ] in
   let results =
     Approx_volume.estimate_family ~sample
@@ -187,7 +187,7 @@ let test_estimate_random_seq_matches_fraction_in () =
   let reference =
     let prng = Prng.create 42 in
     Approx_volume.fraction_in
-      (Approx_volume.sample_points ~prng ~dim:2 1000)
+      (Approx_volume.points ~dim:2 (Approx_volume.sample_points ~prng ~dim:2 1000))
       quarter_box
   in
   let seq =
@@ -229,7 +229,7 @@ let test_estimate_family_random_parallel () =
   let reference =
     let prng = Prng.create 21 in
     Approx_volume.estimate_family
-      ~sample:(Approx_volume.sample_points ~prng ~dim:1 3000)
+      ~sample:(Approx_volume.points ~dim:1 (Approx_volume.sample_points ~prng ~dim:1 3000))
       ~mem params
   in
   let seq =
@@ -257,7 +257,8 @@ let test_estimate_family_random_parallel () =
 (* The draw order is part of the contract: a retained sample, a one-shot
    estimate and every earlier run with the same (seed, n, domains) must
    see the same points.  These rationals pin the order of generator
-   splits and chunk sizes. *)
+   splits and chunk sizes; the last point's numerators sit at
+   [999*dim ..] of the flat sample. *)
 let test_draw_order_pinned () =
   let q = Q.of_string in
   List.iter
@@ -272,12 +273,15 @@ let test_draw_order_pinned () =
           ~mem:(fun a p -> Q.lt p.(0) a)
           [ qq 1 3; qq 2 3 ]
       in
-      let pts = Approx_volume.sample_points ~domains ~prng:(Prng.create 42) ~dim:2 1000 in
+      let ks = Approx_volume.sample_points ~domains ~prng:(Prng.create 42) ~dim:2 1000 in
       let tag = Printf.sprintf " at %d domains" domains in
       check ("random estimate" ^ tag) true (Q.equal est (q random));
       check ("family estimates" ^ tag) true
         (List.for_all2 (fun (_, e) s -> Q.equal e (q s)) fam family);
-      check ("last point" ^ tag) true (Q.equal pts.(999).(1) (q last)))
+      check_int ("flat length" ^ tag) 2000 (Array.length ks);
+      check ("last point" ^ tag) true (Q.equal (Prng.q_of_bits53 ks.((999 * 2) + 1)) (q last));
+      check ("last point via point" ^ tag) true
+        (Q.equal (Approx_volume.point ~dim:2 ks 999).(1) (q last)))
     [ (1, "61/250", [ "44/125"; "67/100" ], "8764297108012697/9007199254740992");
       (2, "59/250", [ "13/40"; "82/125" ], "2153065298021659/2251799813685248");
       (3, "117/500", [ "321/1000"; "78/125" ], "1517765492239493/9007199254740992");
