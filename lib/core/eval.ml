@@ -117,6 +117,15 @@ let refresh_memo db =
   end;
   Mutex.unlock memo_lock
 
+let clear_memo () =
+  Mutex.protect memo_lock (fun () ->
+      Holds_tbl.reset holds_memo;
+      Fid_tbl.reset formula_ids;
+      formula_id_next := 0;
+      memo_db := Obj.repr ())
+
+let memo_entries () = Holds_tbl.length holds_memo
+
 let holds_memo_find key = Holds_tbl.find_opt holds_memo key
 let holds_memo_add key b = Holds_tbl.replace holds_memo key b
 

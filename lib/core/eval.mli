@@ -71,6 +71,14 @@ val runtime_probes : unit -> int
 (** Number of runtime linearity probes performed so far (monotonic;
     observability hook for the static-dispatch contract). *)
 
+val clear_memo : unit -> unit
+(** Drop the quantified-subformula truth memo behind {!holds} (the
+    server's [reset]; the memo already drops itself when the database
+    changes). *)
+
+val memo_entries : unit -> int
+(** Entries in that memo (diagnostic). *)
+
 val range_restricted_tuples :
   Db.t -> Q.t Var.Map.t -> Ast.sum_spec -> Q.t array list
 (** The finite set [rho (D, z)] a summation ranges over: tuples of END

@@ -485,8 +485,8 @@ let section_at s qs =
 (* The Lemma 5 fast path is only taken strictly inside a polynomial
    piece, where [Volume_param.eval] provably equals the section's sweep
    volume; at breakpoints (where eval's adjacent-piece convention is a
-   measure-zero choice) and outside the pieces, fall through to the
-   direct sweep so batched and one-shot execution agree everywhere. *)
+   measure-zero choice), fall through to the direct sweep so batched and
+   one-shot execution agree everywhere. *)
 let eval_interior fn t =
   if
     List.exists
@@ -494,6 +494,19 @@ let eval_interior fn t =
       fn
   then Some (Volume_param.eval fn t)
   else None
+
+(* A binding strictly outside the pieces' span answers 0: the first and
+   last breakpoints are the last-axis min and max of the set's closure
+   ([Volume_exact.breakpoints]), so the section there is empty.  An empty
+   piece list proves nothing: [0 <= x /\ x <= 1 /\ t = 0] has measure
+   zero, hence no piece, yet its section at t = 0 has length 1. *)
+let eval_fast (fn : Volume_param.t) t =
+  match fn with
+  | [] -> None
+  | first :: _ ->
+      let last = List.fold_left (fun _ pc -> pc) first fn in
+      if Q.lt t first.lo || Q.gt t last.hi then Some Q.zero
+      else eval_interior fn t
 
 let volume_at ?(domains = 1) p db qs =
   let np = Array.length (Plan.params p) in
@@ -508,7 +521,7 @@ let volume_at ?(domains = 1) p db qs =
     let fast =
       if np = 1 then
         match get_fn ~domains ~clamped:false p db s with
-        | Some fn -> eval_interior fn qs.(0)
+        | Some fn -> eval_fast fn qs.(0)
         | None -> None
       else None
     in

@@ -44,7 +44,14 @@ val section_pieces :
     costs no section.  The sections are one parallel batch over
     [?domains] (default 1); the result is identical for every domain
     count.  The single builder behind {!volume_sweep} and
-    {!Volume_param}. *)
+    {!Volume_param}.  [bps] must come from {!breakpoints} or
+    {!breakpoints_since} of [s], which raise {!Unbounded} on an unbounded
+    set; this call does not test boundedness again. *)
+
+val sweep_pieces : ?domains:int -> Semilinear.t -> piece list
+(** [section_pieces s (breakpoints s)] for [dim s >= 2], pruning and
+    compiling [s] once.
+    @raise Unbounded on unbounded sets. *)
 
 val integrate : piece list -> Q.t
 (** Sum of the closed-form integrals of the pieces. *)
@@ -156,14 +163,21 @@ val get_max_arrangement_subsets : unit -> int
 
 val breakpoints : Semilinear.t -> Q.t list
 (** The candidate breakpoints used by the sweep on the last coordinate:
-    last coordinates of all vertices of the constraint-hyperplane
-    arrangement, plus the bounding interval's endpoints. *)
+    the distinct last coordinates of the constraint-hyperplane
+    arrangement's vertices within the set's last-axis extent [[lo, hi]].
+    [lo] and [hi] are the extreme last coordinates of the vertices that
+    lie in the relaxed closure of some disjunct, which for a bounded set
+    are exactly the last-axis bounds of its relaxation.  Empty for an
+    empty set.
+    @raise Unbounded when some satisfiable disjunct's relaxation is
+    unbounded (one recession-cone test per disjunct). *)
 
 val breakpoints_since :
   old_set:Semilinear.t -> old_bps:Q.t list -> Semilinear.t -> Q.t list
 (** [breakpoints s], computed incrementally against a predecessor:
     [old_bps] must be [breakpoints old_set].  When [s]'s last-axis
-    bounding interval matches [old_set]'s and every hyperplane of
+    extent (one LP pair per disjunct) matches [old_set]'s — the first and
+    last of [old_bps] — and every hyperplane of
     [old_set] survives into [s]'s pool, only arrangement subsets meeting
     a fresh hyperplane are enumerated and merged into [old_bps]; the
     result equals [breakpoints s] exactly.  Falls back to the full

@@ -9,7 +9,7 @@ type t = piece list
 let section_volume_function ?domains s =
   if Semilinear.dim s < 2 then
     invalid_arg "Volume_param.section_volume_function: dim < 2";
-  Volume_exact.section_pieces ?domains s (Volume_exact.breakpoints s)
+  Volume_exact.sweep_pieces ?domains s
 
 (* Incremental rebuild after a database update.  When the predecessor set
    is known the breakpoint partition is maintained incrementally

@@ -214,9 +214,10 @@ let bounding_box_raw a =
     else Some (Array.map (function Some r -> r | None -> assert false) ranges)
   end
 
-(* Bounding boxes cost two LPs per (disjunct, dimension); the volume sweep
-   recomputes them for the same sets at every level (breakpoints, then each
-   recursive section).  Constraints are interned, and the box is invariant
+(* Bounding boxes cost two LPs per (disjunct, dimension); the rewriter's
+   range analysis reads the same relations' boxes many times per compiled
+   query (the volume sweep takes its bounds from its own vertex pass and
+   no longer comes here).  Constraints are interned, and the box is invariant
    under both disjunct order and atom order (ranges merge by min/max), so
    the canonical tag key is sound.  Lock-striped for the domain-parallel
    volume engine (same structural key semantics as the polymorphic Hashtbl

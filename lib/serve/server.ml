@@ -584,6 +584,7 @@ let apply_update reg ~schema ~rel ~region ~inserted =
 let clear_engine_caches () =
   Plan.clear_cache ();
   Cqa_analysis.Planner.clear_memo ();
+  Eval.clear_memo ();
   Cqa_linear.Fourier_motzkin.clear_qe_cache ();
   Cqa_linear.Semilinear.clear_bbox_cache ();
   Cqa_linear.Simplex.clear_basis_cache ();

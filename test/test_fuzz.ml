@@ -410,6 +410,257 @@ let prop_oracle_matches_holds =
             (List.init (Array.length ks / 2) Fun.id))
         [ true; false ])
 
+(* ------------------------------------------------------------------ *)
+(* The sweep's vertex-pass bounds against the LP bounding box          *)
+(* ------------------------------------------------------------------ *)
+
+(* an atom  sum_i cs_i x_i + c OP 0  with small integer coefficients *)
+type row = { cs : int list; c : Q.t; op : Linconstr.op }
+
+let constr_of vars r =
+  Linconstr.make
+    (Linexpr.of_list r.c (List.mapi (fun i k -> (Q.of_int k, vars.(i))) r.cs))
+    r.op
+
+(* the box -1 <= x_i <= 1 on the first [n] of [arity] coordinates *)
+let box_rows ~arity n =
+  List.concat
+    (List.init n (fun i ->
+         let unit s = List.init arity (fun j -> if j = i then s else 0) in
+         [ { cs = unit 1; c = Q.minus_one; op = Linconstr.Le };
+           { cs = unit (-1); c = Q.minus_one; op = Linconstr.Le } ]))
+
+let gen_row n =
+  let open Gen in
+  let* cs = list_repeat n (int_range (-2) 2) in
+  let* c = gen_const in
+  let* op = frequencyl [ (4, Linconstr.Le); (3, Linconstr.Lt); (1, Linconstr.Eq) ] in
+  return { cs; c; op }
+
+(* A 2-D or 3-D set: an (n + 1)-D DNF over (x.., w), sectioned at w = t.
+   Sections keep disjuncts [Semilinear.make] would have pruned, so the
+   set can carry a strict sliver  t < e(x) < w  whose closure at w = t is
+   the hyperplane e(x) = t but whose points are none.  Most disjuncts are
+   boxed; the rest are often unbounded.  Eq atoms make measure-zero sets.
+   Shrinking drops atoms (the box and the sliver stay). *)
+type bounds_case = { n : int; t : Q.t; disjuncts : row list list }
+
+let gen_bounds_case =
+  let open Gen in
+  let* n = int_range 2 3 in
+  let arity = n + 1 in
+  let* t = gen_const in
+  let w = frequencyl [ (3, 0); (1, 1); (1, -1) ] in
+  let gen_disjunct =
+    let* boxed = frequencyl [ (3, true); (1, false) ] in
+    let* rows =
+      list_size (int_range 0 4)
+        (map2 (fun r cw -> { r with cs = r.cs @ [ cw ] }) (gen_row n) w)
+    in
+    let* sliver = frequencyl [ (4, false); (1, true) ] in
+    let* e = list_repeat n (int_range (-2) 2) in
+    let sliver_rows =
+      if not sliver then []
+      else
+        [ { cs = List.map (fun k -> -k) e @ [ 0 ]; c = t; op = Linconstr.Lt };
+          { cs = e @ [ -1 ]; c = Q.zero; op = Linconstr.Lt } ]
+    in
+    return ((if boxed then box_rows ~arity n else []) @ sliver_rows @ rows)
+  in
+  let* disjuncts = list_size (int_range 1 3) gen_disjunct in
+  return { n; t; disjuncts }
+
+let set_of_case { n; t; disjuncts } =
+  let vars = Semilinear.default_vars (n + 1) in
+  Semilinear.section_last
+    (Semilinear.make vars (List.map (List.map (constr_of vars)) disjuncts))
+    t
+
+let print_bounds_case c = Format.asprintf "%a" Semilinear.pp (set_of_case c)
+
+(* The breakpoints as the sweep computed them before the vertex pass
+   took over: FM prune, the LP bounding box, then the arrangement's
+   vertices clipped to the box's last axis. *)
+let lp_breakpoints s =
+  let n = Semilinear.dim s in
+  let s =
+    Semilinear.make (Semilinear.vars s)
+      (List.filter Fourier_motzkin.satisfiable_conj (Semilinear.dnf s))
+  in
+  if Semilinear.dnf s = [] then []
+  else
+    match Semilinear.bounding_box s with
+    | None -> raise Volume_exact.Unbounded
+    | Some bb ->
+        let lo, hi = bb.(n - 1) in
+        List.map (fun v -> v.(n - 1)) (Volume_exact.arrangement_vertices s)
+        |> List.filter (fun t -> Q.leq lo t && Q.leq t hi)
+        |> List.cons lo |> List.cons hi
+        |> List.sort_uniq Q.compare
+
+let bounded f = match f () with v -> Some v | exception Volume_exact.Unbounded -> None
+
+let print_qs qs = String.concat " " (List.map Q.to_string qs)
+
+let under_both_kernels check =
+  let kernel = Flatrow.enabled () in
+  Fun.protect ~finally:(fun () -> Flatrow.set_kernel kernel) @@ fun () ->
+  List.for_all
+    (fun filtered ->
+      Flatrow.set_kernel filtered;
+      check filtered)
+    [ true; false ]
+
+let prop_vertex_bounds =
+  Test.make ~name:"vertex-pass breakpoints = LP-box breakpoints" ~count
+    ~print:print_bounds_case gen_bounds_case (fun case ->
+      let s = set_of_case case in
+      under_both_kernels (fun filtered ->
+          let fail fmt = Test.fail_reportf ("(filtered kernel: %b) " ^^ fmt) filtered in
+          match
+            ( bounded (fun () -> lp_breakpoints s),
+              bounded (fun () -> Volume_exact.breakpoints s),
+              bounded (fun () -> Volume_exact.volume s),
+              bounded (fun () -> Volume_exact.volume_incl_excl s) )
+          with
+          | None, None, None, None -> true
+          | Some lp, Some bps, Some v, Some ie ->
+              if not (List.equal Q.equal lp bps) then
+                fail "breakpoints %s, LP reference %s" (print_qs bps) (print_qs lp)
+              else if not (Q.equal v ie) then
+                fail "sweep %s <> incl-excl %s" (Q.to_string v) (Q.to_string ie)
+              else true
+          | lp, bps, v, ie ->
+              let says = function None -> "Unbounded" | Some _ -> "bounded" in
+              fail "LP reference %s, breakpoints %s, volume %s, incl-excl %s"
+                (says lp) (says bps) (says v) (says ie)))
+
+(* ------------------------------------------------------------------ *)
+(* Affine images: VOL(A S + b) = |det A| VOL(S)                        *)
+(* ------------------------------------------------------------------ *)
+
+(* small rational entries n/d, |n| <= 2, d in {1, 2} *)
+let gen_entry = Gen.map2 (fun n d -> Q.of_ints n d) (Gen.int_range (-2) 2) (Gen.oneofl [ 1; 2 ])
+
+let identity_entry i j = if i = j then Q.one else Q.zero
+
+(* unimodular: a product of integer shears, with a sign flip *)
+let gen_unimodular n =
+  let open Gen in
+  let axis = int_bound (n - 1) in
+  let* shears = list_size (int_range 0 4) (triple axis axis (int_range (-2) 2)) in
+  let* flip = bool in
+  let m = Qmat.identity n in
+  if flip then m.(0).(0) <- Q.minus_one;
+  List.iter
+    (fun (i, j, k) ->
+      if i <> j then
+        for c = 0 to n - 1 do
+          m.(i).(c) <- Q.add m.(i).(c) (Q.mul (Q.of_int k) m.(j).(c))
+        done)
+    shears;
+  return m
+
+let rec gen_general n =
+  let open Gen in
+  let* m = array_repeat n (array_repeat n gen_entry) in
+  if Q.is_zero (Qmat.det m) then gen_general n else return m
+
+(* Shrink toward the identity one entry at a time, keeping only
+   nonsingular candidates. *)
+let shrink_matrix m =
+  let n = Array.length m in
+  List.init (n * n) (fun k -> (k / n, k mod n))
+  |> List.filter (fun (i, j) -> not (Q.equal m.(i).(j) (identity_entry i j)))
+  |> List.to_seq
+  |> Seq.filter_map (fun (i, j) ->
+         let m' = Array.map Array.copy m in
+         m'.(i).(j) <- identity_entry i j;
+         if Q.is_zero (Qmat.det m') then None else Some m')
+
+let gen_matrix n =
+  Gen.set_shrink shrink_matrix
+    (Gen.frequency [ (1, gen_unimodular n); (1, gen_general n) ])
+
+type affine_case = { dim : int; s_rows : row list list; a : Qmat.mat; b : Q.t array }
+
+let gen_affine_case =
+  let open Gen in
+  let* dim = int_range 2 3 in
+  let* s_rows =
+    list_size (int_range 1 2)
+      (map
+         (fun rows -> box_rows ~arity:dim dim @ rows)
+         (list_size (int_range 0 3) (gen_row dim)))
+  in
+  let* a = gen_matrix dim in
+  let* b = array_repeat dim gen_const in
+  return { dim; s_rows; a; b }
+
+let affine_vars dim = Semilinear.default_vars dim
+
+let set_of_rows dim rows =
+  let vars = affine_vars dim in
+  Semilinear.make vars (List.map (List.map (constr_of vars)) rows)
+
+(* The image  { y : A^-1 (y - b) in S }: an atom  a . x + c OP 0  becomes
+   (A^-T a) . y + (c - a . A^-1 b) OP 0.  The image lists its disjuncts in
+   reverse order, so an engine that depends on disjunct order cannot
+   pass. *)
+let image { dim; s_rows; a; b } =
+  let vars = affine_vars dim in
+  let ainv = Option.get (Qmat.inverse a) in
+  let shift = Qmat.mat_vec ainv b in
+  let atom r =
+    let av = Array.of_list (List.map Q.of_int r.cs) in
+    let coeffs = Array.init dim (fun k -> Qmat.dot av (Array.init dim (fun i -> ainv.(i).(k)))) in
+    let terms = Array.to_list (Array.mapi (fun k q -> (q, vars.(k))) coeffs) in
+    Linconstr.make (Linexpr.of_list (Q.sub r.c (Qmat.dot av shift)) terms) r.op
+  in
+  Semilinear.make vars (List.rev_map (List.map atom) s_rows)
+
+(* the image as a query over a relation R holding S:
+   exists u . R(u) /\ x = A u + b *)
+let image_query { dim; a; b; _ } coords =
+  let us = Array.init dim (fun i -> Var.of_string (Printf.sprintf "u%d" i)) in
+  let row i =
+    Array.fold_left
+      (fun acc (k, u) -> Ast.Add (acc, Ast.Mul (Ast.Const k, Ast.TVar u)))
+      (Ast.Const b.(i))
+      (Array.mapi (fun j u -> (a.(i).(j), u)) us)
+  in
+  let body =
+    Ast.conj
+      (Ast.Rel ("R", Array.to_list us)
+      :: List.init dim (fun i -> Ast.Cmp (Ast.Ceq, Ast.TVar coords.(i), row i)))
+  in
+  Array.fold_right (fun u f -> Ast.Exists (u, f)) us body
+
+let print_affine_case c =
+  Format.asprintf "S = %a@.A = %a@.b = %a" Semilinear.pp (set_of_rows c.dim c.s_rows)
+    Qmat.pp_mat c.a Qmat.pp_vec c.b
+
+let prop_affine_image =
+  Test.make ~name:"VOL(A S + b) = |det A| VOL(S)" ~count ~print:print_affine_case
+    gen_affine_case (fun c ->
+      let s = set_of_rows c.dim c.s_rows in
+      let det = Q.abs (Qmat.det c.a) in
+      let expect = Q.mul det (Volume_exact.volume s) in
+      let direct = Volume_exact.volume (image c) in
+      if not (Q.equal direct expect) then
+        Test.fail_reportf "sweep: VOL(image) = %s, |det A| VOL(S) = %s" (Q.to_string direct)
+          (Q.to_string expect)
+      else
+        let coords = [| xx; yy; zz |] |> fun a -> Array.sub a 0 c.dim in
+        let db = Db.of_list (Schema.of_list [ ("R", c.dim) ]) [ ("R", Db.Semilin s) ] in
+        let vol f = Exec.volume (Planner.compile ~db ~coords f) db in
+        let planned = vol (image_query c coords) in
+        let held = vol (Ast.Rel ("R", Array.to_list coords)) in
+        if not (Q.equal planned (Q.mul det held)) then
+          Test.fail_reportf "planned: VOL(image query) = %s, |det A| VOL(R) = %s"
+            (Q.to_string planned) (Q.to_string (Q.mul det held))
+        else Q.equal held (Volume_exact.volume s))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -421,7 +672,10 @@ let () =
           prop_scale_invariant;
         ];
       qsuite "volume"
-        [ prop_volume_agreement; prop_guarded_agreement; prop_sampler_within_eps ];
+        [
+          prop_volume_agreement; prop_guarded_agreement; prop_sampler_within_eps;
+          prop_vertex_bounds; prop_affine_image;
+        ];
       qsuite "updates" [ prop_incremental_matches_recompute ];
       qsuite "kernel"
         [ prop_filter_sound; prop_exact_oracles_agree; prop_oracle_matches_holds ];

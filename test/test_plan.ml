@@ -146,6 +146,63 @@ let test_param_exec () =
     (Invalid_argument "Exec.volume_at: expected 1 parameter values, got 2")
     (fun () -> ignore (Exec.volume_at p db0 [| Q.zero; Q.one |]))
 
+(* Bindings strictly outside the Lemma 5 pieces' span answer 0 without a
+   sweep, and agree with the direct section's volume; a measure-zero set
+   (no pieces at all) keeps the sweep, whose section may well have
+   positive measure. *)
+let section_at s qs = Array.fold_right (fun q s -> Cqa_linear.Semilinear.section_last s q) qs s
+
+let test_param_out_of_range () =
+  let module T = Cqa_telemetry.Telemetry in
+  let fast () =
+    Option.value ~default:0
+      (List.assoc_opt "plan.param.fast" (T.snapshot ()).T.counters)
+  in
+  let u = Var.of_string "u" in
+  let prng = Random.State.make [| 26 |] in
+  let outside () =
+    let k = 1 + Random.State.int prng 40 and d = 1 + Random.State.int prng 7 in
+    if Random.State.bool prng then qq (-k) d else Q.add Q.one (qq k d)
+  in
+  let bindings = List.init 12 (fun _ -> outside ()) in
+  T.enable ();
+  T.reset ();
+  Fun.protect ~finally:T.disable @@ fun () ->
+  let f = parse param_src in
+  let s = Eval.eval_set db0 (Array.append yvars [| u |]) f in
+  List.iter
+    (fun domains ->
+      Plan.clear_cache ();
+      let p = Plan.cached ~params:[| u |] ~coords:yvars f in
+      let before = fast () in
+      List.iter
+        (fun t ->
+          let v = Exec.volume_at ~domains p db0 [| t |] in
+          check "out of range = direct section" true
+            (Q.equal v (Volume_exact.volume ~domains (section_at s [| t |])));
+          check "out of range is 0" true (Q.is_zero v))
+        bindings;
+      check_int "every out-of-range binding is fast" (List.length bindings)
+        (fast () - before))
+    [ 1; 2; 4 ];
+  let y1 = Var.of_string "y1" in
+  let g = parse "0 <= y1 /\\ y1 <= 1 /\\ u = 0" in
+  let sg = Eval.eval_set db0 [| y1; u |] g in
+  List.iter
+    (fun domains ->
+      Plan.clear_cache ();
+      let p = Plan.cached ~params:[| u |] ~coords:[| y1 |] g in
+      List.iter
+        (fun t ->
+          check "measure-zero set = direct section" true
+            (Q.equal
+               (Exec.volume_at ~domains p db0 [| t |])
+               (Volume_exact.volume ~domains (section_at sg [| t |]))))
+        (Q.zero :: Q.one :: bindings);
+      check "its section at 0 has length 1" true
+        (Q.equal (Exec.volume_at ~domains p db0 [| Q.zero |]) Q.one))
+    [ 1; 2; 4 ]
+
 let test_param_validation () =
   Plan.clear_cache ();
   let f = parse sweep_src in
@@ -293,6 +350,8 @@ let () =
           Alcotest.test_case "volume_of_query cached" `Quick
             test_volume_of_query_cached;
           Alcotest.test_case "parameterized" `Quick test_param_exec;
+          Alcotest.test_case "out-of-range bindings, dom 1/2/4" `Quick
+            test_param_out_of_range;
           Alcotest.test_case "slot validation" `Quick test_param_validation;
           Alcotest.test_case "guarded fallback = sampler, dom 2/4" `Quick
             test_guarded_sampler_domains;

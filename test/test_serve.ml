@@ -245,6 +245,21 @@ let test_reset_clears_plan_memo () =
   check "reset ok" true (is_ok (Client.request c {|{"op":"reset"}|}));
   check_int "plan memo empty after reset" 0 (Cqa_analysis.Planner.memo_entries ())
 
+(* a cold server answers a sampled quantified query from an empty holds
+   memo, as [serve_qps_cold] assumes *)
+let test_reset_clears_holds_memo () =
+  with_server @@ fun addr ->
+  with_client addr @@ fun c ->
+  let q =
+    {|{"op":"vol","query":"exists z . 0 <= z /\\ z <= 1 /\\ x * x + z * y <= 1 /\\ 0 <= x /\\ x <= 1 /\\ 0 <= y /\\ y <= 1","eps":0.2,"delta":0.2,"seed":3}|}
+  in
+  let resp = Client.request c q in
+  check "sampled vol ok" true (is_ok resp);
+  check_str "sampler engine" "approx" (str_field "engine" resp);
+  check "the vol filled the holds memo" true (Cqa_core.Eval.memo_entries () > 0);
+  check "reset ok" true (is_ok (Client.request c {|{"op":"reset"}|}));
+  check_int "holds memo empty after reset" 0 (Cqa_core.Eval.memo_entries ())
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -544,7 +559,9 @@ let () =
           Alcotest.test_case "reset clears the row cache" `Quick
             test_reset_clears_row_cache;
           Alcotest.test_case "reset clears the plan memo" `Quick
-            test_reset_clears_plan_memo ] );
+            test_reset_clears_plan_memo;
+          Alcotest.test_case "reset clears the holds memo" `Quick
+            test_reset_clears_holds_memo ] );
       ( "admission",
         [ Alcotest.test_case "over-budget rejection" `Quick
             test_admission_reject;
